@@ -1,0 +1,21 @@
+(* Minimal JSON printing for the result lines run.py reads. *)
+
+let num f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+let int = string_of_int
+let bool = string_of_bool
+
+let str s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let obj kvs = "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) kvs) ^ "}"
+let arr l = "[" ^ String.concat "," l ^ "]"
