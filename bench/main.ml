@@ -28,27 +28,31 @@ module Rbac = Dacs_rbac.Rbac
 module Compile = Dacs_rbac.Compile
 module Rng = Dacs_crypto.Rng
 module Rsa = Dacs_crypto.Rsa
+module Gate = Dacs_telemetry.Gate
 open Dacs_core
 
 let header title claim =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '-');
   Printf.printf "claim: %s\n\n" claim
 
-(* Gated experiments (the ones CI greps CHECK lines from) record their
-   failures here so the harness can exit non-zero — a grep that never runs
+(* Gated experiments (the ones CI greps CHECK lines from) each open a
+   gate here so the harness can exit non-zero — a grep that never runs
    because the binary died must not read as success, and neither must a
    FAIL line the grep pattern missed. *)
-let gate_failures : string list ref = ref []
+let gates : Gate.t list ref = ref []
 
-let record_gate_failures tag failures =
-  gate_failures := List.map (fun f -> tag ^ ": " ^ f) failures @ !gate_failures
+let gate tag =
+  let g = Gate.create tag in
+  gates := g :: !gates;
+  g
 
 (* Machine-readable snapshot of an experiment's headline numbers, for CI
    artifacts and cross-run comparison: BENCH_<tag>.json under the bench
    history directory (bench/history/ next to the committed trajectory
    ledger; $DACS_HISTORY overrides it — the perturbed-baseline test
    points it at a scratch directory).  Values are pre-rendered JSON
-   literals. *)
+   literals.  [written_tags] remembers which snapshots this process
+   measured, so e20 embeds only those in its ledger entry. *)
 let history_dir () =
   match Sys.getenv_opt "DACS_HISTORY" with Some d when d <> "" -> d | _ -> "bench/history"
 
@@ -58,7 +62,10 @@ let rec ensure_dir d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
+let written_tags : string list ref = ref []
+
 let write_bench_json tag fields =
+  if not (List.mem tag !written_tags) then written_tags := tag :: !written_tags;
   let dir = history_dir () in
   ensure_dir dir;
   let oc = open_out (Filename.concat dir (Printf.sprintf "BENCH_%s.json" tag)) in
@@ -68,6 +75,7 @@ let write_bench_json tag fields =
 
 let json_f v = Printf.sprintf "%.4f" v
 let json_i v = string_of_int v
+let gate_failures_json g = json_i (List.length (Gate.failures g))
 
 let fresh () =
   let net = Net.create () in
@@ -920,32 +928,6 @@ let e12_discovery_ablation () =
     [ ("timeout failover only", false); ("discovery rebinding", true) ]
 
 (* ==================================================================== *)
-(* E13 — ablation: target-indexed vs linear policy evaluation           *)
-(* ==================================================================== *)
-
-let e13_index_ablation () =
-  header "E13  Ablation: target-indexed vs linear evaluation (§3.1 scalability)"
-    "bucketing rules by their resource-id targets makes evaluation cost independent \
-     of store size, without changing any decision";
-  Printf.printf "%8s %14s %14s %10s %12s\n" "rules" "linear (us)" "indexed (us)" "speedup"
-    "candidates";
-  List.iter
-    (fun n ->
-      let policy = sized_policy n in
-      let idx = Dacs_policy.Index.build policy in
-      let ctx = request_for (n - 1) in
-      (* Sanity: identical decisions. *)
-      assert (
-        Decision.equal_decision
-          (Policy.evaluate ctx policy).Decision.decision
-          (Dacs_policy.Index.evaluate ctx idx).Decision.decision);
-      let linear = time_us (fun () -> ignore (Policy.evaluate ctx policy)) in
-      let indexed = time_us (fun () -> ignore (Dacs_policy.Index.evaluate ctx idx)) in
-      Printf.printf "%8d %14.2f %14.2f %9.1fx %12d\n" n linear indexed (linear /. indexed)
-        (Dacs_policy.Index.candidate_count idx ctx))
-    [ 10; 100; 1000; 10000 ]
-
-(* ==================================================================== *)
 (* E14 — ablation: resilience machinery under a chaos schedule          *)
 (* ==================================================================== *)
 
@@ -1147,7 +1129,7 @@ let e16_sharded_tier () =
   let _, _, base_tput, _, _, _ = run ~shards:0 ~batch:1 in
   Printf.printf "%-22s %8s %10s %10s %9s %9s %11s\n" "configuration" "granted" "makespan" "req/s"
     "speedup" "msgs/req" "mean batch";
-  let failures = ref [] in
+  let short = ref [] in
   let row label (granted, makespan, tput, msgs, tier, _) =
     let mean_batch =
       match tier with
@@ -1157,8 +1139,7 @@ let e16_sharded_tier () =
     in
     Printf.printf "%-22s %8d %9.3fs %10.0f %8.2fx %9.1f %11s\n" label granted makespan tput
       (tput /. base_tput) msgs mean_batch;
-    if granted <> requests then
-      failures := Printf.sprintf "%s: only %d/%d granted" label granted requests :: !failures
+    if granted <> requests then short := Printf.sprintf "%s %d/%d" label granted requests :: !short
   in
   row "single PDP (pull)" (run ~shards:0 ~batch:1);
   List.iter (fun shards -> row (Printf.sprintf "%d shards, batch 8" shards) (run ~shards ~batch:8))
@@ -1170,23 +1151,22 @@ let e16_sharded_tier () =
   Printf.printf "\nper-shard evaluations (4 shards, batch 8):\n";
   List.iter (fun (node, n) -> Printf.printf "  %-14s %6d evaluations\n" node n) per_shard;
   let speedup = tput4 /. base_tput in
-  if List.exists (fun (_, n) -> n = 0) per_shard then
-    failures := "a shard evaluated zero queries under the balanced workload" :: !failures;
-  if speedup < 3.0 then
-    failures := Printf.sprintf "4-shard speedup %.2fx below 3x" speedup :: !failures;
-  Printf.printf "\nE16 CHECK balanced-shards: %s\n"
-    (if List.exists (fun (_, n) -> n = 0) per_shard then "FAIL" else "PASS");
-  Printf.printf "E16 CHECK speedup>=3x at 4 shards: %s (%.2fx)\n"
-    (if speedup < 3.0 then "FAIL" else "PASS")
-    speedup;
-  List.iter (fun f -> Printf.printf "E16 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e16" !failures;
+  let g = gate "E16" in
+  print_newline ();
+  Gate.check g "balanced-shards"
+    (List.for_all (fun (_, n) -> n > 0) per_shard)
+    (Printf.sprintf "least-loaded shard evaluated %d"
+       (List.fold_left (fun acc (_, n) -> min acc n) max_int per_shard));
+  Gate.check g "speedup>=3x at 4 shards" (speedup >= 3.0) (Printf.sprintf "%.2fx" speedup);
+  Gate.check g "all-requests-granted" (!short = [])
+    (if !short = [] then Printf.sprintf "%d/%d in every configuration" requests requests
+     else "short: " ^ String.concat ", " (List.rev !short));
   write_bench_json "e16"
     [
       ("single_pdp_req_s", json_f base_tput);
       ("four_shards_req_s", json_f tput4);
       ("speedup_4_shards", json_f speedup);
-      ("gate_failures", json_i (List.length !failures));
+      ("gate_failures", gate_failures_json g);
     ]
 
 (* ==================================================================== *)
@@ -1345,7 +1325,7 @@ let e17_cache_hierarchy () =
   in
   Printf.printf "%-20s %9s %9s %9s %11s %8s %10s %9s %9s\n" "configuration" "granted" "cold m/r"
     "warm m/r" "attr frames" "l2 hits" "coalesced" "p50 (ms)" "p99 (ms)";
-  let failures = ref [] in
+  let short = ref [] in
   let results =
     List.map
       (fun (label, l2, attr_batch, coalesce) ->
@@ -1354,8 +1334,7 @@ let e17_cache_hierarchy () =
         in
         Printf.printf "%-20s %4d/%-4d %9.2f %9.2f %11d %8d %10d %9.2f %9.2f\n" label granted total
           cold_mpr warm_mpr frames l2_hits coalesced p50 p99;
-        if granted <> total then
-          failures := Printf.sprintf "%s: only %d/%d granted" label granted total :: !failures;
+        if granted <> total then short := Printf.sprintf "%s %d/%d" label granted total :: !short;
         (label, r))
       configs
   in
@@ -1366,25 +1345,21 @@ let e17_cache_hierarchy () =
   let _, _, _, full_warm, _, _, _, _, _ = List.assoc "full (+coalescing)" results in
   let legacy = frames_of "l1+l2" and batched = frames_of "l1+l2+attr-batch" in
   let reduction = float_of_int legacy /. float_of_int (max 1 batched) in
-  if full_warm >= 2.2 then
-    failures := Printf.sprintf "warm msgs/req %.2f not < 2.2" full_warm :: !failures;
-  if reduction < 2.0 then
-    failures := Printf.sprintf "attribute-frame reduction %.2fx below 2x" reduction :: !failures;
-  Printf.printf "\nE17 CHECK warm msgs/req < 2.2 (full config): %s (%.2f)\n"
-    (if full_warm < 2.2 then "PASS" else "FAIL")
-    full_warm;
-  Printf.printf "E17 CHECK attr RPCs/decision reduced >= 2x by batching: %s (%.2fx, %d -> %d frames)\n"
-    (if reduction >= 2.0 then "PASS" else "FAIL")
-    reduction legacy batched;
-  List.iter (fun f -> Printf.printf "E17 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e17" !failures;
+  let g = gate "E17" in
+  print_newline ();
+  Gate.check g "warm msgs/req < 2.2 (full config)" (full_warm < 2.2)
+    (Printf.sprintf "%.2f" full_warm);
+  Gate.check g "attr RPCs/decision reduced >= 2x by batching" (reduction >= 2.0)
+    (Printf.sprintf "%.2fx, %d -> %d frames" reduction legacy batched);
+  Gate.check g "all-requests-granted" (!short = [])
+    (if !short = [] then "every configuration" else "short: " ^ String.concat ", " (List.rev !short));
   write_bench_json "e17"
     [
       ("warm_msgs_per_req", json_f full_warm);
       ("attr_frame_reduction", json_f reduction);
       ("attr_frames_sequential", json_i legacy);
       ("attr_frames_batched", json_i batched);
-      ("gate_failures", json_i (List.length !failures));
+      ("gate_failures", gate_failures_json g);
     ]
 
 (* ==================================================================== *)
@@ -1433,11 +1408,8 @@ let e18_workload () =
       [ 100.0; 400.0; 1600.0 ]
   in
   let get rate shards cache_ttl = List.assoc (rate, shards, cache_ttl) rows in
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E18 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
+  let g = gate "E18" in
+  let check = Gate.check g in
   (* Every row must conserve requests regardless of load. *)
   let conserved = List.for_all (fun (_, r) -> W.conservation_ok r) rows in
   print_newline ();
@@ -1467,57 +1439,12 @@ let e18_workload () =
   check "determinism"
     (W.render rerun = W.render saturated)
     "same-seed saturating run renders byte-identical";
-  (* Compiled-evaluation ablation: with a per-rule scan cost, the
-     interpreter pays for the whole serving policy on every query while
-     compiled dispatch pays only for the requested resource's bucket —
-     the same shard gains capacity and sheds less at the same offered
-     rate, with identical decisions (enforced by the oracle suite). *)
-  let heavy compiled =
-    {
-      W.default with
-      W.seed = 7;
-      shards = 1;
-      peps = 8;
-      rule_cost = 0.002;
-      compiled;
-      arrivals = W.Open_loop { rate = 60.0 };
-      duration = 4.0;
-    }
-  in
-  let interp = W.run (heavy false) in
-  let comp = W.run (heavy true) in
-  Printf.printf "\ncompiled-evaluation ablation (1 shard, 17-rule serving policy, 2 ms/rule):\n";
-  Printf.printf "%-28s %8s %8s %8s %6s %9s %9s\n" "evaluator" "offered" "granted" "shed" "pdp-ov"
-    "req/s" "p99 (s)";
-  List.iter
-    (fun (label, r) ->
-      Printf.printf "%-28s %8d %8d %8d %6d %9.1f %9.4f\n" label r.W.offered r.W.granted r.W.shed
-        r.W.pdp_overloads r.W.throughput r.W.latency.W.p99)
-    [ ("interpreted", interp); ("compiled", comp) ];
-  (* The interpreter's shard saturates at ~26 req/s (0.004 + 17 x 0.002
-     per query); compiled dispatch scans ~3 candidates, lifting capacity
-     past the offered 60 req/s — so it grants more and stops tripping
-     the shard's inflight bound. *)
-  check "compiled-raises-capacity"
-    (float_of_int comp.W.granted > float_of_int interp.W.granted *. 1.5)
-    (Printf.sprintf "compiled grants %d vs interpreted %d of %d offered" comp.W.granted
-       interp.W.granted comp.W.offered);
-  check "compiled-relieves-overload"
-    (comp.W.pdp_overloads < interp.W.pdp_overloads)
-    (Printf.sprintf "pdp overloads %d compiled vs %d interpreted" comp.W.pdp_overloads
-       interp.W.pdp_overloads);
-  List.iter (fun f -> Printf.printf "E18 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e18" !failures;
   write_bench_json "e18"
     [
       ("shed_saturated_1_shard", json_i saturated.W.shed);
       ("shed_saturated_cached", json_i cached.W.shed);
       ("worst_admitted_p99_s", json_f worst_p99);
-      ("interpreted_granted", json_i interp.W.granted);
-      ("compiled_granted", json_i comp.W.granted);
-      ("interpreted_pdp_overloads", json_i interp.W.pdp_overloads);
-      ("compiled_pdp_overloads", json_i comp.W.pdp_overloads);
-      ("gate_failures", json_i (List.length !failures));
+      ("gate_failures", gate_failures_json g);
     ]
 
 (* ==================================================================== *)
@@ -1529,7 +1456,7 @@ let e19_compiled_eval () =
     "compiling the policy tree into per-(resource, action) buckets makes \
      per-decision cost depend on the matching rules, not the store size: \
      >= 5x cheaper on a deep tree, identical decisions everywhere";
-  let failures = ref [] in
+  let diverged = ref [] in
   let result_equal (a : Decision.result) (b : Decision.result) =
     Decision.equal_decision a.Decision.decision b.Decision.decision
     && a.Decision.obligations = b.Decision.obligations
@@ -1544,7 +1471,7 @@ let e19_compiled_eval () =
         let c = Dacs_policy.Compiled.compile child in
         let ctx = request_for (n - 1) in
         if not (result_equal (Policy.evaluate_child ctx child) (Dacs_policy.Compiled.evaluate ctx c))
-        then failures := Printf.sprintf "flat %d rules: compiled decision diverged" n :: !failures;
+        then diverged := Printf.sprintf "flat %d rules" n :: !diverged;
         let interp = time_us (fun () -> ignore (Policy.evaluate_child ctx child)) in
         let comp = time_us (fun () -> ignore (Dacs_policy.Compiled.evaluate ctx c)) in
         Printf.printf "%8d %16.2f %14.2f %9.1fx %12d\n" n interp comp (interp /. comp)
@@ -1589,7 +1516,7 @@ let e19_compiled_eval () =
           ()
       in
       if not (result_equal (Policy.evaluate_child ctx deep) (Dacs_policy.Compiled.evaluate ctx c))
-      then failures := Printf.sprintf "deep tree: compiled diverged on %s" rid :: !failures)
+      then diverged := Printf.sprintf "deep tree %s" rid :: !diverged)
     [ "res0-0"; "res7-31"; "res15-63"; "nosuch" ];
   let interp = time_us (fun () -> ignore (Policy.evaluate_child deep_ctx deep)) in
   let comp = time_us (fun () -> ignore (Dacs_policy.Compiled.evaluate deep_ctx c)) in
@@ -1599,32 +1526,20 @@ let e19_compiled_eval () =
     "interpreted" interp "compiled" comp deep_speedup
     (Dacs_policy.Compiled.candidate_count c deep_ctx)
     (Dacs_policy.Compiled.rule_count c);
-  if deep_speedup < 5.0 then
-    failures := Printf.sprintf "deep-tree speedup %.1fx below 5x" deep_speedup :: !failures;
-  let diverged =
-    List.exists
-      (fun f ->
-        let has sub =
-          let n = String.length sub in
-          let rec go i = i + n <= String.length f && (String.sub f i n = sub || go (i + 1)) in
-          go 0
-        in
-        has "diverged")
-      !failures
-  in
-  Printf.printf "\nE19 CHECK decisions-identical: %s\n" (if diverged then "FAIL" else "PASS");
-  Printf.printf "E19 CHECK compiled-speedup>=5x on deep tree: %s (%.1fx)\n"
-    (if deep_speedup >= 5.0 then "PASS" else "FAIL")
-    deep_speedup;
-  List.iter (fun f -> Printf.printf "E19 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e19" !failures;
+  let g = gate "E19" in
+  print_newline ();
+  Gate.check g "decisions-identical" (!diverged = [])
+    (if !diverged = [] then "compiled = interpreted on every sampled request"
+     else "diverged: " ^ String.concat ", " (List.rev !diverged));
+  Gate.check g "compiled-speedup>=5x on deep tree" (deep_speedup >= 5.0)
+    (Printf.sprintf "%.1fx" deep_speedup);
   write_bench_json "e19"
     (List.map (fun (n, s) -> (Printf.sprintf "flat_speedup_%d_rules" n, json_f s)) flat_speedups
     @ [
         ("deep_tree_speedup", json_f deep_speedup);
         ("deep_tree_interpreted_us", json_f interp);
         ("deep_tree_compiled_us", json_f comp);
-        ("gate_failures", json_i (List.length !failures));
+        ("gate_failures", gate_failures_json g);
       ])
 
 (* ==================================================================== *)
@@ -1683,8 +1598,8 @@ let e20_trajectory () =
     "the serving path's deterministic metrics (steady p99, messages per \
      request, saturated shedding) must not worsen beyond tolerance against \
      the previous committed ledger entry; every run appends its own entry \
-     with the e16..e19 snapshots embedded, so the trajectory across PRs is \
-     reviewable history, not folklore";
+     embedding the snapshots that run measured, so the trajectory across PRs \
+     is reviewable history, not folklore";
   let module W = Dacs_workload.Workload in
   let steady = W.run { W.default with W.seed = 11; cache_ttl = 30.0; duration = 4.0 } in
   let saturated =
@@ -1707,14 +1622,11 @@ let e20_trajectory () =
   Printf.printf "  %-32s %10.6f s\n" "steady-state p99 (cached, 200 req/s)" p99;
   Printf.printf "  %-32s %10.2f\n" "messages per request (steady)" mpr;
   Printf.printf "  %-32s %10d\n" "saturated shed (1600 req/s, 1 shard)" shed;
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E20 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
+  let g = gate "E20" in
+  let check = Gate.check g in
   print_newline ();
   (match Option.bind (read_file_opt ledger) last_line with
-  | None -> Printf.printf "E20 CHECK regression: PASS (first ledger entry, nothing to compare)\n"
+  | None -> check "regression" true "first ledger entry, nothing to compare"
   | Some prev -> (
     match
       ( find_float_field prev "p99_s",
@@ -1737,33 +1649,43 @@ let e20_trajectory () =
     | _ ->
       check "ledger-parseable" false
         (Printf.sprintf "could not parse previous entry in %s" ledger)));
-  (* Append this run's entry, embedding whatever e16..e19 snapshots the
-     run produced (absent when e20 runs standalone). *)
+  (* Append this run's entry, embedding only the snapshots this process
+     measured.  Snapshots left on disk by earlier runs are listed as
+     carried, never re-embedded as if measured again. *)
   let minify s = String.map (fun c -> if c = '\n' then ' ' else c) (String.trim s) in
+  let on_disk =
+    (if Sys.file_exists dir then Array.to_list (Sys.readdir dir) else [])
+    |> List.filter_map (fun f ->
+           if String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json" then
+             Some (Filename.chop_suffix (String.sub f 6 (String.length f - 6)) ".json")
+           else None)
+    |> List.filter (fun tag -> tag <> "e20")
+    |> List.sort compare
+  in
+  let measured, carried = List.partition (fun tag -> List.mem tag !written_tags) on_disk in
   let snapshots =
     List.filter_map
       (fun tag ->
         Option.map
           (fun s -> Printf.sprintf "%S:%s" tag (minify s))
           (read_file_opt (Filename.concat dir (Printf.sprintf "BENCH_%s.json" tag))))
-      [ "e16"; "e17"; "e18"; "e19"; "e21"; "e22"; "e23" ]
+      measured
   in
   ensure_dir dir;
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 ledger in
   Printf.fprintf oc
-    "{\"pr\":%S,\"e20\":{\"p99_s\":%.6f,\"msgs_per_req\":%.4f,\"shed_saturated\":%d},\"snapshots\":{%s}}\n"
-    pr p99 mpr shed (String.concat "," snapshots);
+    "{\"pr\":%S,\"e20\":{\"p99_s\":%.6f,\"msgs_per_req\":%.4f,\"shed_saturated\":%d},\"snapshots\":{%s},\"carried\":[%s]}\n"
+    pr p99 mpr shed (String.concat "," snapshots)
+    (String.concat "," (List.map (Printf.sprintf "%S") carried));
   close_out oc;
-  Printf.printf "\nledger: appended entry for %S to %s (%d embedded snapshots)\n" pr ledger
-    (List.length snapshots);
-  List.iter (fun f -> Printf.printf "E20 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e20" !failures;
+  Printf.printf "\nledger: appended entry for %S to %s (%d embedded snapshots, %d carried)\n" pr
+    ledger (List.length snapshots) (List.length carried);
   write_bench_json "e20"
     [
       ("steady_p99_s", json_f p99);
       ("steady_msgs_per_req", json_f mpr);
       ("saturated_shed", json_i shed);
-      ("gate_failures", json_i (List.length !failures));
+      ("gate_failures", gate_failures_json g);
     ]
 
 (* ==================================================================== *)
@@ -1890,11 +1812,8 @@ let e21_offline () =
   Printf.printf "  %-32s %8d\n" "retroactive invalidations" invalidations;
   Printf.printf "  %-32s %8d\n" "deny-wins conflicts" conflicts;
   print_newline ();
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E21 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
+  let g = gate "E21" in
+  let check = Gate.check g in
   check "offline-serves-partition"
     (closed.W.errors > 0 && served.W.offline_serves > 0 && served.W.errors < closed.W.errors)
     (Printf.sprintf "errors %d -> %d, %d offline serves" closed.W.errors served.W.errors
@@ -1912,7 +1831,7 @@ let e21_offline () =
      snapshot (absent on the first run: nothing to compare) *)
   let ledger = Filename.concat (history_dir ()) "ledger.jsonl" in
   (match Option.bind (read_file_opt ledger) last_line with
-  | None -> Printf.printf "E21 CHECK regression: PASS (no ledger, nothing to compare)\n"
+  | None -> check "regression" true "no ledger, nothing to compare"
   | Some prev -> (
     match
       ( find_float_field prev "convergence_rounds",
@@ -1932,11 +1851,7 @@ let e21_offline () =
         (float_of_int invalidations <= (prev_inval *. e20_tolerance) +. 1e-9)
         (Printf.sprintf "%d vs %.0f last entry, tolerance %d%%" invalidations prev_inval
            (int_of_float ((e20_tolerance -. 1.0) *. 100.0)))
-    | _ ->
-      Printf.printf
-        "E21 CHECK regression: PASS (previous entry has no e21 snapshot, nothing to compare)\n"));
-  List.iter (fun f -> Printf.printf "E21 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e21" !failures;
+    | _ -> check "regression" true "previous entry has no e21 snapshot, nothing to compare"));
   write_bench_json "e21"
     [
       ("fail_closed_errors", json_i closed.W.errors);
@@ -1947,162 +1862,26 @@ let e21_offline () =
       ("replayed_events", json_i replayed);
       ("retroactive_invalidations", json_i invalidations);
       ("conflicts", json_i conflicts);
-      ("gate_failures", json_i (List.length !failures));
+      ("gate_failures", gate_failures_json g);
     ]
 
 (* ==================================================================== *)
-(* E22 — million-user scale: key scheme x cache tier                    *)
+(* E22 — million-user scale: O(active) workload state                   *)
 (* ==================================================================== *)
 
-(* The serving-path scale ablation behind the interned-identity rework:
-   packed integer request keys against the legacy sorted-string +
-   SHA-256 scheme, measured three ways —
-
-   - key construction alone (the per-request cost the swap removes);
-   - warm-L1 decide throughput under a 1M-user Zipf draw (wall-clock,
-     so reported and gated only as a within-run ratio);
-   - a full engine run at 1M users under both schemes: decisions must
-     be identical, reports byte-identical per seed, and the lazy
-     workload state must stay O(active).
-
-   Resident key bytes come from {!Decision_cache.key_bytes}: the packed
-   scheme must at least halve what the cache pins per entry. *)
+(* A full engine run at 1M users over interned identities and packed
+   cache keys: the report must be byte-identical per seed, every request
+   must be accounted for, and the lazy workload state must stay
+   O(active). *)
 
 let e22_scale () =
-  header "E22  Million-user serving path (key scheme x cache tier)"
-    "interning identities and packing cache keys as integer tuples makes the \
-     warm decide path >= 2x faster than the sorted-string + SHA-256 scheme at \
-     a 1M-user Zipf working set, at least halves resident key bytes, and \
-     changes no decision; the workload engine completes 1M-user runs \
-     materialising state only for active users";
+  header "E22  Million-user serving path (O(active) workload state)"
+    "with interned identities and packed cache keys, the workload engine \
+     completes 1M-user runs materialising state only for active users, \
+     deterministically and with every request accounted for";
   let module W = Dacs_workload.Workload in
-  let with_scheme scheme f =
-    let saved = Decision_cache.key_scheme () in
-    Decision_cache.set_key_scheme scheme;
-    Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
-  in
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E22 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
-  (* -- part 1: key construction ------------------------------------- *)
-  (* The e17 attribute shape: identity plus the role/clearance/department
-     triple a PIP would have resolved, over a 16-resource estate. *)
-  let ctx_for u =
-    Context.make
-      ~subject:
-        [
-          ("subject-id", Value.String (Printf.sprintf "user%d" u));
-          ("role", Value.String "doctor");
-          ("clearance", Value.String "secret");
-          ("department", Value.String (Printf.sprintf "dept%d" (u mod 8)));
-        ]
-      ~resource:
-        [
-          ("resource-id", Value.String (Printf.sprintf "res%d" (u mod 16)));
-          ("owner", Value.String (Printf.sprintf "dept%d" (u mod 8)));
-        ]
-      ~action:[ ("action-id", Value.String "read") ]
-      ()
-  in
-  let key_ctxs = Array.init 256 ctx_for in
-  let spin = ref 0 in
-  let cycle f () =
-    f key_ctxs.(!spin land 255) |> ignore;
-    incr spin
-  in
-  let sha_us = time_us (cycle Decision_cache.sha_request_key) in
-  let packed_us = time_us (cycle Intern.request_key) in
-  let key_speedup = sha_us /. packed_us in
-  Printf.printf "key construction (256-context cycle):\n";
-  Printf.printf "  %-32s %10.3f us\n" "sha-hex (sort + format + SHA-256)" sha_us;
-  Printf.printf "  %-32s %10.3f us\n" "packed (interned atom tuple)" packed_us;
-  (* -- part 2: warm-L1 decide throughput, 1M-user Zipf --------------- *)
-  let population = 1_000_000 and draws = 120_000 and skew = 1.1 in
-  (* Walker alias sampler, same construction as the workload engine's:
-     O(n) setup, one uniform draw per sample. *)
-  let sample_users () =
-    let rng = Rng.create 0xe22L in
-    let scaled = Array.init population (fun i -> 1.0 /. (float_of_int (i + 1) ** skew)) in
-    let total = Array.fold_left ( +. ) 0.0 scaled in
-    let norm = float_of_int population /. total in
-    Array.iteri (fun i w -> scaled.(i) <- w *. norm) scaled;
-    let prob = Array.make population 1.0 in
-    let alias = Array.init population Fun.id in
-    let small = ref [] and large = ref [] in
-    for i = population - 1 downto 0 do
-      if scaled.(i) < 1.0 then small := i :: !small else large := i :: !large
-    done;
-    let rec pair () =
-      match (!small, !large) with
-      | s :: ss, l :: ls ->
-        prob.(s) <- scaled.(s);
-        alias.(s) <- l;
-        scaled.(l) <- scaled.(l) -. (1.0 -. scaled.(s));
-        small := ss;
-        large := ls;
-        if scaled.(l) < 1.0 then small := l :: !small else large := l :: !large;
-        pair ()
-      | _, _ -> ()
-    in
-    pair ();
-    Array.init draws (fun _ ->
-        let u = Rng.float rng (float_of_int population) in
-        let i = min (int_of_float u) (population - 1) in
-        if u -. float_of_int i < prob.(i) then i else alias.(i))
-  in
-  let users = sample_users () in
-  let distinct = Hashtbl.create 65536 in
-  Array.iter (fun u -> Hashtbl.replace distinct u ()) users;
-  let working_set = Hashtbl.length distinct in
-  let ctxs = Array.map ctx_for users in
-  let warm_stack () =
-    let net, services = fresh () in
-    let add id = Net.add_node net id; id in
-    ignore
-      (Pdp_service.create services ~node:(add "pdp") ~name:"pdp"
-         ~root:
-           (Policy.Inline_policy
-              (Policy.make ~id:"e22" ~rule_combining:Combine.First_applicable
-                 [ Rule.permit ~target:Target.(any |> subject_is "role" "doctor") "permit-doctor";
-                   Rule.deny "default-deny" ]))
-         ());
-    let cache = Decision_cache.create ~max_entries:(1 lsl 18) ~ttl:3600.0 () in
-    let pep =
-      Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
-        (Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 })
-    in
-    (* Warm: every draw descends once; single-flight coalesces the
-       duplicates, Net.run settles the misses, and from then on every
-       lookup is a synchronous L1 hit. *)
-    Array.iter (fun ctx -> Pep.decide pep ctx (fun _ -> ())) ctxs;
-    Net.run net;
-    (pep, cache)
-  in
-  let measure scheme =
-    with_scheme scheme (fun () ->
-        let pep, cache = warm_stack () in
-        let answered = ref 0 in
-        let t0 = Sys.time () in
-        Array.iter (fun ctx -> Pep.decide pep ctx (fun _ -> incr answered)) ctxs;
-        let dt = Sys.time () -. t0 in
-        if !answered <> draws then
-          failures := Printf.sprintf "%d of %d warm decides answered synchronously" !answered draws :: !failures;
-        (float_of_int draws /. dt, Decision_cache.key_bytes cache, Decision_cache.size cache))
-  in
-  let sha_thr, sha_bytes, sha_entries = measure Decision_cache.Sha_hex in
-  let packed_thr, packed_bytes, packed_entries = measure Decision_cache.Packed in
-  let decide_speedup = packed_thr /. sha_thr in
-  let st = Intern.stats Intern.global in
-  Printf.printf "\nwarm-L1 decide, %d draws over %d-user Zipf(%.1f) (%d distinct):\n" draws
-    population skew working_set;
-  Printf.printf "  %-14s %14s %14s %12s\n" "scheme" "decides/s" "resident keys" "key bytes";
-  Printf.printf "  %-14s %14.0f %14d %12d\n" "sha-hex" sha_thr sha_entries sha_bytes;
-  Printf.printf "  %-14s %14.0f %14d %12d\n" "packed" packed_thr packed_entries packed_bytes;
-  Printf.printf "  intern table: %d strings, %d pairs, %d values, %d atoms\n" st.Intern.strings
-    st.Intern.pairs st.Intern.values st.Intern.atoms;
-  (* -- part 3: engine-level 1M-user runs, both schemes --------------- *)
+  let g = gate "E22" in
+  let check = Gate.check g in
   let scenario =
     {
       W.default with
@@ -2115,60 +1894,25 @@ let e22_scale () =
       duration = 2.0;
     }
   in
-  let packed_run = with_scheme Decision_cache.Packed (fun () -> W.run scenario) in
-  let packed_rerun = with_scheme Decision_cache.Packed (fun () -> W.run scenario) in
-  let sha_run = with_scheme Decision_cache.Sha_hex (fun () -> W.run scenario) in
-  let mpr (r : W.report) = float_of_int r.W.messages /. float_of_int r.W.offered in
-  Printf.printf "\n1M-user engine run (seed 7, 400 req/s, 2 shards, cached):\n";
-  Printf.printf "  %-14s %8s %8s %8s %8s %9s %12s\n" "scheme" "offered" "granted" "denied"
-    "errors" "msgs/req" "active users";
-  List.iter
-    (fun (label, (r : W.report)) ->
-      Printf.printf "  %-14s %8d %8d %8d %8d %9.2f %12d\n" label r.W.offered r.W.granted
-        r.W.denied r.W.errors (mpr r) r.W.active_users)
-    [ ("sha-hex", sha_run); ("packed", packed_run) ];
+  let run = W.run scenario in
+  let rerun = W.run scenario in
+  let mpr = float_of_int run.W.messages /. float_of_int run.W.offered in
+  Printf.printf "1M-user engine run (seed 7, 400 req/s, 2 shards, cached):\n";
+  Printf.printf "  %8s %8s %8s %8s %9s %12s\n" "offered" "granted" "denied" "errors" "msgs/req"
+    "active users";
+  Printf.printf "  %8d %8d %8d %8d %9.2f %12d\n" run.W.offered run.W.granted run.W.denied
+    run.W.errors mpr run.W.active_users;
   print_newline ();
-  check "key-build-speedup" (key_speedup >= 2.0)
-    (Printf.sprintf "packed %.3f us vs sha %.3f us, %.1fx >= 2x" packed_us sha_us key_speedup);
-  check "warm-decide-speedup" (decide_speedup >= 2.0)
-    (Printf.sprintf "%.0f vs %.0f decides/s, %.1fx >= 2x" packed_thr sha_thr decide_speedup);
-  check "resident-key-bytes"
-    (packed_entries = sha_entries && packed_bytes * 2 <= sha_bytes)
-    (Printf.sprintf "%d bytes packed vs %d sha over %d entries (<= half)" packed_bytes sha_bytes
-       sha_entries);
-  check "decisions-unchanged"
-    (packed_run.W.granted = sha_run.W.granted
-    && packed_run.W.denied = sha_run.W.denied
-    && packed_run.W.errors = sha_run.W.errors
-    && packed_run.W.shed = sha_run.W.shed)
-    (Printf.sprintf "granted/denied/errors/shed %d/%d/%d/%d under both key schemes"
-       packed_run.W.granted packed_run.W.denied packed_run.W.errors packed_run.W.shed);
-  check "msgs-per-req-unchanged"
-    (packed_run.W.messages = sha_run.W.messages)
-    (Printf.sprintf "%.2f msgs/req packed vs %.2f sha" (mpr packed_run) (mpr sha_run));
   check "o-active-state"
-    (packed_run.W.active_users < 100_000 && packed_run.W.active_users <= packed_run.W.offered)
-    (Printf.sprintf "%d of %d users materialised" packed_run.W.active_users scenario.W.users);
-  check "determinism"
-    (W.render packed_run = W.render packed_rerun)
-    "same-seed 1M-user report renders byte-identical";
-  check "conservation"
-    (W.conservation_ok packed_run && W.conservation_ok sha_run)
-    "completed = offered and answers sum up under both schemes";
-  List.iter (fun f -> Printf.printf "E22 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e22" !failures;
+    (run.W.active_users < 100_000 && run.W.active_users <= run.W.offered)
+    (Printf.sprintf "%d of %d users materialised" run.W.active_users scenario.W.users);
+  check "determinism" (W.render run = W.render rerun) "same-seed 1M-user report renders byte-identical";
+  check "conservation" (W.conservation_ok run) "completed = offered and answers sum up";
   write_bench_json "e22"
     [
-      ("key_build_speedup", json_f key_speedup);
-      ("warm_decide_speedup", json_f decide_speedup);
-      ("packed_decides_per_s", json_f packed_thr);
-      ("sha_decides_per_s", json_f sha_thr);
-      ("packed_key_bytes", json_i packed_bytes);
-      ("sha_key_bytes", json_i sha_bytes);
-      ("working_set", json_i working_set);
-      ("active_users_1m", json_i packed_run.W.active_users);
-      ("msgs_per_req_1m", json_f (mpr packed_run));
-      ("gate_failures", json_i (List.length !failures));
+      ("active_users_1m", json_i run.W.active_users);
+      ("msgs_per_req_1m", json_f mpr);
+      ("gate_failures", gate_failures_json g);
     ]
 
 (* ==================================================================== *)
@@ -2182,10 +1926,8 @@ let e22_scale () =
      three arms — targeted region invalidation (Delta.between), full
      flush, and an uncached Policy.evaluate reference.  No request is
      ever in flight across a publish, so the three decision streams
-     must be byte-identical under both key schemes; under the packed
-     scheme the targeted arm must also retain strictly more warm
-     entries (Sha_hex keys are undecodable, so targeted degrades to
-     the flush there — soundness preserved, savings forfeited);
+     must be byte-identical, and the targeted arm must retain strictly
+     more warm entries;
    - the workload ablation: the same churn schedule through the engine
      with [churn_targeted] on and off — retained cache hits and
      messages per request, gated against the previous ledger entry
@@ -2199,16 +1941,8 @@ let e23_churn () =
      entries and spends fewer messages per request under churn";
   let module W = Dacs_workload.Workload in
   let module D = Dacs_policy.Delta in
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E23 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
-  let with_scheme scheme f =
-    let saved = Decision_cache.key_scheme () in
-    Decision_cache.set_key_scheme scheme;
-    Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
-  in
+  let g = gate "E23" in
+  let check = Gate.check g in
   (* -- part 1: sequential churn corpus ------------------------------- *)
   let resources = 8 and generations = 12 in
   let root gen = Policy.Inline_policy (W.churned_policy ~resources ~gen) in
@@ -2239,9 +1973,7 @@ let e23_churn () =
       r
   in
   let max_zones = ref 0 and region_unbounded = ref false in
-  (* Runs the whole corpus under the current key scheme; returns the
-     three decision streams plus cache stats. *)
-  let corpus () =
+  let p_t, p_f, p_r, p_thits, p_fhits, p_tdrop, p_fdrop =
     let targeted = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
     let full = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
     let bufs = (Buffer.create 1024, Buffer.create 1024, Buffer.create 1024) in
@@ -2276,29 +2008,19 @@ let e23_churn () =
       !t_dropped,
       !f_dropped )
   in
-  let p_t, p_f, p_r, p_thits, p_fhits, p_tdrop, p_fdrop =
-    with_scheme Decision_cache.Packed corpus
-  in
-  let s_t, s_f, s_r, s_thits, s_fhits, _, _ = with_scheme Decision_cache.Sha_hex corpus in
   Printf.printf "sequential corpus (%d resources, %d publishes, %d requests/generation):\n"
     resources generations (List.length ctxs);
-  Printf.printf "  %-10s %14s %14s %14s %14s\n" "scheme" "targeted hits" "flush hits"
-    "targeted drops" "flush drops";
-  Printf.printf "  %-10s %14d %14d %14d %14d\n" "packed" p_thits p_fhits p_tdrop p_fdrop;
-  Printf.printf "  %-10s %14d %14d %14s %14s\n" "sha-hex" s_thits s_fhits "(degrades)" "";
+  Printf.printf "  %14s %14s %14s %14s\n" "targeted hits" "flush hits" "targeted drops"
+    "flush drops";
+  Printf.printf "  %14d %14d %14d %14d\n" p_thits p_fhits p_tdrop p_fdrop;
   print_newline ();
   check "corpus-decisions-identical"
     (p_t = p_f && p_f = p_r)
-    "targeted = full-flush = uncached reference, byte-identical streams (packed)";
-  check "corpus-decisions-identical-sha"
-    (s_t = s_f && s_f = s_r)
-    "the same three streams under the legacy Sha_hex key scheme";
+    "targeted = full-flush = uncached reference, byte-identical streams";
   check "corpus-hit-retention" (p_thits > p_fhits)
-    (Printf.sprintf "%d targeted hits > %d flush hits (packed)" p_thits p_fhits);
+    (Printf.sprintf "%d targeted hits > %d flush hits" p_thits p_fhits);
   check "corpus-targeted-drops-fewer" (p_tdrop < p_fdrop)
     (Printf.sprintf "%d targeted drops < %d flush drops" p_tdrop p_fdrop);
-  check "sha-degrades-soundly" (s_thits >= s_fhits)
-    (Printf.sprintf "%d vs %d hits: undecodable keys drop conservatively" s_thits s_fhits);
   check "regions-bounded"
     ((not !region_unbounded) && !max_zones <= 4)
     (Printf.sprintf "every consecutive-generation region bounded, max %d zones" !max_zones);
@@ -2348,7 +2070,7 @@ let e23_churn () =
   in
   let ledger = Filename.concat (history_dir ()) "ledger.jsonl" in
   (match Option.bind (read_file_opt ledger) last_line with
-  | None -> Printf.printf "E23 CHECK regression: PASS (no ledger, nothing to compare)\n"
+  | None -> check "regression" true "no ledger, nothing to compare"
   | Some prev -> (
     match
       (find_float_field prev "churn_hit_ratio", find_float_field prev "churn_msgs_per_req")
@@ -2362,11 +2084,7 @@ let e23_churn () =
         (mpr targeted_run <= (prev_mpr *. e20_tolerance) +. 1e-9)
         (Printf.sprintf "%.2f vs %.2f last entry, tolerance %d%%" (mpr targeted_run) prev_mpr
            (int_of_float ((e20_tolerance -. 1.0) *. 100.0)))
-    | _ ->
-      Printf.printf
-        "E23 CHECK regression: PASS (previous entry has no e23 snapshot, nothing to compare)\n"));
-  List.iter (fun f -> Printf.printf "E23 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e23" !failures;
+    | _ -> check "regression" true "previous entry has no e23 snapshot, nothing to compare"));
   write_bench_json "e23"
     [
       ("seq_targeted_hits", json_i p_thits);
@@ -2380,7 +2098,7 @@ let e23_churn () =
       ("churn_msgs_per_req", json_f (mpr targeted_run));
       ("full_msgs_per_req", json_f (mpr full_run));
       ("publishes", json_i targeted_run.W.publishes);
-      ("gate_failures", json_i (List.length !failures));
+      ("gate_failures", gate_failures_json g);
     ]
 
 (* ==================================================================== *)
@@ -2454,7 +2172,6 @@ let experiments =
     ("e10", e10_delegation);
     ("e11", e11_rbac_scale);
     ("e12", e12_discovery_ablation);
-    ("e13", e13_index_ablation);
     ("e14", e14_resilience);
     ("e15", e15_telemetry);
     ("e16", e16_sharded_tier);
@@ -2484,8 +2201,9 @@ let () =
         requested
   in
   List.iter (fun (_, f) -> f ()) to_run;
-  if !gate_failures <> [] then begin
-    Printf.printf "\n%d gated check(s) failed:\n" (List.length !gate_failures);
-    List.iter (fun f -> Printf.printf "  %s\n" f) !gate_failures;
+  match List.concat_map Gate.failures (List.rev !gates) with
+  | [] -> ()
+  | failed ->
+    Printf.printf "\n%d gated check(s) failed:\n" (List.length failed);
+    List.iter (Printf.printf "  %s\n") failed;
     exit 1
-  end

@@ -29,6 +29,13 @@ let load_policy path =
   | Error e -> Error e
   | Ok content -> Xacml.child_of_string content
 
+(* Record a command's checks — printed after its report unless [json] —
+   and turn them into its exit code. *)
+let gate_exit ~json tag checks =
+  let gate = Dacs_telemetry.Gate.create ~quiet:json tag in
+  List.iter (fun (name, ok, detail) -> Dacs_telemetry.Gate.check gate name ok detail) checks;
+  Dacs_telemetry.Gate.exit_code gate
+
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -463,12 +470,9 @@ let tier_cmd shards batch seed requests json =
       s.Pdp_tier.dispatched s.Pdp_tier.batches s.Pdp_tier.failovers s.Pdp_tier.exhausted;
     Printf.printf "outcome: %d/%d answered, %d granted\n" !answered total !granted
   end;
-  let ok = !granted = total in
-  if not json then
-    Printf.printf "\nTIER CHECK all-requests-granted: %s (%d/%d)\n"
-      (if ok then "PASS" else "FAIL")
-      !granted total;
-  if ok then 0 else 1
+  if not json then print_newline ();
+  gate_exit ~json "TIER"
+    [ ("all-requests-granted", !granted = total, Printf.sprintf "%d/%d" !granted total) ]
 
 (* --- cache ------------------------------------------------------------------- *)
 
@@ -602,14 +606,8 @@ let cache_cmd seed json =
       ("invalidation-empties-l2", l2_size = 0, Printf.sprintf "size %d" l2_size);
     ]
   in
-  if not json then begin
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "CACHE CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
-  end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  if not json then print_newline ();
+  gate_exit ~json "CACHE" checks
 
 (* --- explain ------------------------------------------------------------------ *)
 
@@ -747,13 +745,9 @@ let explain_cmd seed json =
     print_string (Report.attribution services);
     print_newline ();
     print_string (Report.critical_path services);
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "EXPLAIN CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
+    print_newline ()
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  gate_exit ~json "EXPLAIN" checks
 
 (* --- slo ---------------------------------------------------------------------- *)
 
@@ -800,13 +794,9 @@ let slo_cmd seed json =
     print_string (W.render healthy);
     Printf.printf "\noffered 10x capacity (%d decisions):\n" overloaded.W.slo.Slo.total;
     print_string (W.render overloaded);
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "SLO CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
+    print_newline ()
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  gate_exit ~json "SLO" checks
 
 (* --- offline ------------------------------------------------------------------ *)
 
@@ -913,13 +903,9 @@ let offline_cmd seed json =
     print_string (W.render base);
     Printf.printf "\nwith offline replicas (served from the signed log):\n";
     print_string (W.render off);
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "OFFLINE CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
+    print_newline ()
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  gate_exit ~json "OFFLINE" checks
 
 (* --- load -------------------------------------------------------------------- *)
 
@@ -928,8 +914,8 @@ let offline_cmd seed json =
    two invocations can be compared with cmp(1) — the determinism gate CI
    relies on.  Exits non-zero when a LOAD CHECK fails. *)
 let load_cmd seed rate clients think duration peps shards users domains zipf cache_ttl
-    cache_entries service_time batch max_inflight queue pdp_max_inflight rule_cost compiled
-    churn_period churn_flush json =
+    cache_entries service_time batch max_inflight queue pdp_max_inflight churn_period churn_flush
+    json =
   let module W = Dacs_workload.Workload in
   let arrivals =
     if clients > 0 then W.Closed_loop { clients; think_time = think } else W.Open_loop { rate }
@@ -951,8 +937,6 @@ let load_cmd seed rate clients think duration peps shards users domains zipf cac
       admission =
         (if max_inflight > 0 then Some { Pep.max_inflight; max_queue = queue } else None);
       pdp_max_inflight = (if pdp_max_inflight > 0 then Some pdp_max_inflight else None);
-      rule_cost;
-      compiled;
       partition = None;
       offline = false;
       churn =
@@ -989,13 +973,9 @@ let load_cmd seed rate clients think duration peps shards users domains zipf cac
            shards, %d users, zipf %.2f, cache ttl %.1f\n\n"
           seed clients think_time duration peps shards users zipf cache_ttl);
       print_string (W.render report);
-      print_newline ();
-      List.iter
-        (fun (name, ok, detail) ->
-          Printf.printf "LOAD CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-        checks
+      print_newline ()
     end;
-    if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+    gate_exit ~json "LOAD" checks
 
 (* --- delta ------------------------------------------------------------------- *)
 
@@ -1083,13 +1063,9 @@ let delta_cmd json =
       (Delta.to_string region01);
     Printf.printf "publish gen1 -> gen2 (retargets it to res2):\n  %s\n\n"
       (Delta.to_string region12);
-    Printf.printf "targeted invalidation: dropped %d of %d warm L1 entries\n\n" dropped warm;
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "DELTA CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
+    Printf.printf "targeted invalidation: dropped %d of %d warm L1 entries\n\n" dropped warm
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  gate_exit ~json "DELTA" checks
 
 (* --- cmdliner wiring ------------------------------------------------------------ *)
 
@@ -1271,25 +1247,6 @@ let pdp_inflight_arg =
     & info [ "pdp-max-inflight" ] ~docv:"N"
         ~doc:"Per-shard max-inflight bound on the PDP FIFO (0 = unbounded).")
 
-let rule_cost_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "rule-cost" ] ~docv:"S"
-        ~doc:
-          "Extra virtual seconds of shard occupancy per rule the evaluation scans (0 keeps the \
-           flat service-time model).")
-
-let compiled_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "compiled" ]
-        ~doc:
-          "Evaluate through the compiled (target-indexed) policy form instead of the interpreter; \
-           decisions are identical, shard occupancy scales with dispatched candidates instead of \
-           the whole rule list.")
-
 let churn_period_arg =
   Arg.(
     value
@@ -1346,7 +1303,7 @@ let load_t =
       const load_cmd $ sim_seed_arg $ rate_arg $ clients_arg $ think_arg $ duration_arg $ peps_arg
       $ shards_arg $ users_arg $ domains_arg $ zipf_arg $ cache_ttl_arg $ cache_entries_arg
       $ service_time_arg $ batch_arg $ max_inflight_arg $ queue_arg $ pdp_inflight_arg
-      $ rule_cost_arg $ compiled_flag $ churn_period_arg $ churn_flush_flag $ json_flag)
+      $ churn_period_arg $ churn_flush_flag $ json_flag)
 
 let delta_t =
   Cmd.v

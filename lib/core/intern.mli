@@ -1,9 +1,8 @@
 (** Symbol interning for the serving path.
 
     At millions of users the per-request cost of building cache keys —
-    formatting every attribute into a sorted string and hashing it with
-    SHA-256 (the original {!Decision_cache.sha_request_key}) — dominates
-    the warm path.  Crampton & Morisset's formal framing (PAPERS.md)
+    formatting every attribute into a sorted string and hashing it —
+    dominates the warm path.  Crampton & Morisset's formal framing (PAPERS.md)
     licenses the fix: policy evaluation is independent of identifier
     representation, so subjects, resources, actions, attribute
     (category, id) pairs and attribute values can all be interned to
@@ -47,7 +46,7 @@ val name : t -> sym -> string
 val value : t -> Dacs_policy.Value.t -> sym
 (** Intern a typed attribute value.  Distinct types never share a sym
     (structural interning), mirroring the type-annotated
-    [Value.describe] used by the legacy string keys.  Caveat: a NaN
+    [Value.describe].  Caveat: a NaN
     [Double] never equals itself and so never re-interns to the same
     sym — callers must not feed NaN attribute values. *)
 
@@ -65,8 +64,8 @@ val pack2 : int -> int -> int
 
 val request_key : ?table:t -> Dacs_policy.Context.t -> string
 (** Packed request key over the Subject, Resource and Action sections —
-    Environment is excluded exactly as in the legacy scheme (a key that
-    changes every request would never hit).  Two contexts produce the
+    Environment is excluded (a key that changes every request would
+    never hit).  Two contexts produce the
     same key iff their (category, id, value) multisets over those three
     sections are equal; bag and insertion order never matter. *)
 
@@ -93,9 +92,9 @@ val decode_key : ?table:t -> string -> Dacs_policy.Context.t option
 (** Decode a {!request_key} back into a context carrying the Subject,
     Resource and Action bags the key canonicalised (Environment is
     never in a key, so the result carries none).  [None] on anything
-    that is not a dot-separated sequence of known atom syms — notably
-    SHA-256 hex digests from the legacy scheme, which region
-    invalidation must treat as matching (drop) to stay conservative. *)
+    that is not a dot-separated sequence of known atom syms — keys that
+    arrive from outside this process, which region invalidation must
+    treat as matching (drop) to stay conservative. *)
 
 type stats = { strings : int; pairs : int; values : int; atoms : int }
 

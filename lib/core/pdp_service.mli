@@ -2,8 +2,9 @@
 
     Serves ["authz-query"] on its node: fetches/refreshes its policy from
     a PAP (version-gated, TTL-cached), gathers missing attributes from
-    PIPs (the context-handler loop of Fig. 4), evaluates, and replies with
-    a decision plus obligations. *)
+    PIPs (the context-handler loop of Fig. 4), evaluates through the
+    compiled policy form ({!Dacs_policy.Compiled}), and replies with a
+    decision plus obligations. *)
 
 type policy_refresh =
   | Never  (** use the locally installed policy only *)
@@ -23,7 +24,6 @@ val create :
   ?signer:Dacs_crypto.Rsa.private_key * Dacs_crypto.Cert.t ->
   ?retry:Dacs_net.Rpc.retry_policy ->
   ?service_time:float ->
-  ?rule_cost:float ->
   ?max_inflight:int ->
   ?attr_cache_ttl:float ->
   ?attr_batch:bool ->
@@ -60,13 +60,10 @@ val create :
     attribute; [false] restores the sequential shape (the e17 ablation
     baseline).
 
-    [rule_cost] (seconds of virtual time per rule scanned, default 0)
-    extends the capacity model: each query additionally occupies the PDP
-    for [rule_cost] times the number of rules evaluation considers — the
-    whole tree when interpreting, only the dispatched candidates when
-    compiled — so compiled evaluation shows up as shard capacity in
-    saturation experiments.  [compiled] (default false) starts the PDP
-    with compiled evaluation on (see {!set_compiled}). *)
+    [compiled] is kept only because the benchmark under
+    [perfbench/] passes [~compiled:true]; it goes when that benchmark is
+    next revised.  Compiled evaluation is the only serving path, so
+    [~compiled:false] raises [Invalid_argument]. *)
 
 val node : t -> Dacs_net.Net.node_id
 
@@ -74,24 +71,16 @@ val attr_cache : t -> Cache_hierarchy.Attr_cache.t option
 (** The attribute cache, when [attr_cache_ttl] was given. *)
 
 val install_policy : t -> Dacs_policy.Policy.child -> unit
-(** Local installation (also what a PAP fetch does internally). *)
+(** Local installation (also what a PAP fetch does internally): compiles
+    the tree, incrementally against the previously installed one. *)
 
 val policy_version : t -> int
 (** Last version seen from the PAP (0 when none). *)
 
-val set_compiled : t -> bool -> unit
-(** Toggle compiled evaluation.  Turning it on compiles the currently
-    installed policy (and every subsequently installed or fetched one,
-    incrementally); turning it off drops the compiled form and reverts
-    to the interpreter.  Decisions are identical either way — the
-    equivalence is enforced by the differential oracle suite. *)
-
-val compiled_enabled : t -> bool
-
 val compilation_epoch : t -> int
-(** Epoch of the current compiled form (0 when compiled evaluation is
-    off or no policy is installed).  Bumped whenever an installed or
-    fetched policy actually changed the tree. *)
+(** Epoch of the current compiled form (0 only when no policy is
+    installed).  Bumped whenever an installed or fetched policy actually
+    changed the tree. *)
 
 val evaluate_local :
   t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit) -> unit

@@ -553,6 +553,39 @@ let test_region_put_race () =
   check int_ "no further rejections" 1 (Cache_hierarchy.L2.rejected_puts l2);
   check int_ "post-purge put stored" 1 (Cache_hierarchy.L2.size l2)
 
+(* A key that does not decode (put by a caller from outside the packed
+   scheme) cannot be tested against a region, so a bounded region drops
+   it conservatively — in L1 and in the shared L2 — while an empty
+   region still drops nothing. *)
+let test_region_undecodable_key () =
+  let foreign = "not-a-key" in
+  let c = Decision_cache.create ~ttl:60.0 () in
+  Decision_cache.put c ~now:0.0 ~key:foreign Decision.permit;
+  Decision_cache.put c ~now:0.0 ~key:(rkey "chart") Decision.permit;
+  check int_ "L1: empty region keeps it" 0 (Decision_cache.invalidate_region c Delta.empty);
+  check bool_ "L1: still cached" true (Decision_cache.get c ~now:1.0 ~key:foreign <> None);
+  check int_ "L1: zones region drops only it" 1 (Decision_cache.invalidate_region c lab_region);
+  check bool_ "L1: undecodable key gone" true (Decision_cache.get c ~now:1.0 ~key:foreign = None);
+  check bool_ "L1: decodable chart key kept" true
+    (Decision_cache.get c ~now:1.0 ~key:(rkey "chart") <> None);
+  let net = Net.create ~seed:29L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
+  let seeder = add "seeder" in
+  List.iter
+    (fun key -> Cache_hierarchy.L2.remote_put services ~src:seeder ~l2:"l2" ~key Decision.permit)
+    [ foreign; rkey "chart" ];
+  Net.run net;
+  check int_ "L2: both stored" 2 (Cache_hierarchy.L2.size l2);
+  Cache_hierarchy.L2.invalidate_region l2 Delta.empty;
+  check int_ "L2: empty region keeps it" 2 (Cache_hierarchy.L2.size l2);
+  Cache_hierarchy.L2.invalidate_region l2 lab_region;
+  check int_ "L2: zones region drops only it" 1 (Cache_hierarchy.L2.size l2)
+
 (* --- the whole hierarchy under revocation ------------------------------- *)
 
 let test_vo_revocation_round () =
@@ -668,6 +701,8 @@ let () =
             test_region_anti_entropy_repair;
           Alcotest.test_case "an in-flight put cannot outlive a region purge" `Quick
             test_region_put_race;
+          Alcotest.test_case "undecodable keys drop conservatively" `Quick
+            test_region_undecodable_key;
         ] );
       ( "revocation",
         [

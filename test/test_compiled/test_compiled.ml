@@ -17,7 +17,6 @@ module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Obligation = Dacs_policy.Obligation
 module Value = Dacs_policy.Value
-module Index = Dacs_policy.Index
 module Compiled = Dacs_policy.Compiled
 module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
@@ -64,7 +63,7 @@ let test_recompile_on_publish () =
   let pap = Pap.create services ~node:"pap" ~name:"pap" ~root:(permit_policy "a") () in
   let pdp =
     Pdp_service.create services ~node:"pdp" ~name:"pdp" ~pap:"pap"
-      ~refresh:Pdp_service.Every_query ~compiled:true ()
+      ~refresh:Pdp_service.Every_query ()
   in
   let decide () =
     let answer = ref None in
@@ -74,11 +73,29 @@ let test_recompile_on_publish () =
   in
   check_result "before publish" Decision.permit (decide ());
   let epoch_before = Pdp_service.compilation_epoch pdp in
-  Alcotest.(check bool) "compiled on" true (Pdp_service.compiled_enabled pdp);
+  Alcotest.(check bool) "first fetch compiled" true (epoch_before >= 1);
   Pap.publish pap (deny_policy "a");
   check_result "after publish" Decision.deny (decide ());
   Alcotest.(check bool) "pdp epoch bumped" true (Pdp_service.compilation_epoch pdp > epoch_before);
   Alcotest.(check int) "pap epoch" 2 (Pap.compilation_epoch pap)
+
+(* Compiled evaluation is the only serving path: the epoch reads 0 only
+   while no policy is installed, and asking for the interpreter is an
+   error rather than a silent fallback. *)
+let test_pdp_always_compiled () =
+  let net = Net.create ~seed:4L () in
+  let services = Service.create (Dacs_net.Rpc.create net) in
+  Net.add_node net "pdp";
+  let pdp = Pdp_service.create services ~node:"pdp" ~name:"pdp" () in
+  Alcotest.(check int) "no policy, epoch 0" 0 (Pdp_service.compilation_epoch pdp);
+  Pdp_service.install_policy pdp (permit_policy "a");
+  Alcotest.(check int) "installed, epoch 1" 1 (Pdp_service.compilation_epoch pdp);
+  Pdp_service.install_policy pdp (deny_policy "a");
+  Alcotest.(check int) "changed tree, epoch 2" 2 (Pdp_service.compilation_epoch pdp);
+  Net.add_node net "pdp2";
+  Alcotest.check_raises "interpreter refused"
+    (Invalid_argument "Pdp_service.create: ~compiled:false (only compiled evaluation serves)")
+    (fun () -> ignore (Pdp_service.create services ~node:"pdp2" ~name:"pdp2" ~compiled:false ()))
 
 (* Epochs count *semantic* changes: a no-op publish bumps the version
    (it is still an administrative action) but leaves the compiled epoch
@@ -155,9 +172,7 @@ let test_non_string_axis_disables_pruning () =
   (match reference.Decision.decision with
   | Decision.Indeterminate _ -> ()
   | d -> Alcotest.failf "expected Indeterminate, got %s" (Decision.decision_to_string d));
-  Alcotest.(check int) "no pruning" (Compiled.rule_count c) (Compiled.candidate_count c uri_ctx);
-  (* The target index declines identically. *)
-  check_result "indexed == reference" reference (Index.evaluate uri_ctx (Index.build (Policy.make ~id:"p" [ Rule.permit ~target:Target.(any |> resource_is "resource-id" "chart") "r" ])))
+  Alcotest.(check int) "no pruning" (Compiled.rule_count c) (Compiled.candidate_count c uri_ctx)
 
 (* Subject sections evaluate before resource sections, and an error
    there short-circuits the whole target to Indeterminate — even when
@@ -395,6 +410,7 @@ let () =
         [
           Alcotest.test_case "PDP picks up a publish and recompiles" `Quick test_recompile_on_publish;
           Alcotest.test_case "epoch counts semantic changes only" `Quick test_epoch_monotonic;
+          Alcotest.test_case "PDP serves compiled only" `Quick test_pdp_always_compiled;
         ] );
       ( "dispatch",
         [

@@ -1,9 +1,9 @@
-(* The interned serving path: symbol tables, packed request keys and the
-   key-scheme toggle.  The load-bearing claims are the QCheck properties —
-   interning is injective (equal syms iff equal inputs) and packed request
-   keys collide exactly when the legacy canonical attribute multisets are
-   equal — plus unit pins for order-insensitivity, Environment exclusion
-   and the Decision_cache scheme dispatch. *)
+(* The interned serving path: symbol tables and packed request keys.  The
+   load-bearing claims are the QCheck properties — interning is injective
+   (equal syms iff equal inputs) and packed request keys collide exactly
+   when the canonical attribute multisets are equal — plus unit pins for
+   order-insensitivity, Environment exclusion and the Decision_cache key
+   entry point. *)
 
 module Value = Dacs_policy.Value
 module Context = Dacs_policy.Context
@@ -104,15 +104,29 @@ let prop_key_collision_iff_equal =
       let k1 = Intern.request_key ~table:t c1 and k2 = Intern.request_key ~table:t c2 in
       String.equal k1 k2 = (canonical c1 = canonical c2))
 
-(* The two schemes agree on the equivalence relation they induce: packed
-   keys collide exactly when the sha keys do (on NaN-free contexts). *)
-let prop_key_schemes_agree =
-  QCheck.Test.make ~name:"intern: packed and sha keys induce the same partition" ~count:500
-    arb_context_pair
+(* A rendered canonical form: every Subject/Resource/Action binding as
+   category/id=type-annotated value, sorted and joined.  Packed keys must
+   induce the same partition as these strings (on NaN-free contexts). *)
+let canonical_string ctx =
+  let section category =
+    List.concat_map
+      (fun (id, bag) ->
+        List.map
+          (fun v ->
+            Printf.sprintf "%s/%s=%s" (Context.category_name category) id (Value.describe v))
+          bag)
+      (Context.attributes ctx category)
+  in
+  String.concat "|"
+    (List.sort compare (section Context.Subject @ section Context.Resource @ section Context.Action))
+
+let prop_key_partition_canonical =
+  QCheck.Test.make ~name:"intern: packed keys and canonical strings induce the same partition"
+    ~count:500 arb_context_pair
     (fun (c1, c2) ->
       let t = Intern.create ~expected:64 () in
       String.equal (Intern.request_key ~table:t c1) (Intern.request_key ~table:t c2)
-      = String.equal (Decision_cache.sha_request_key c1) (Decision_cache.sha_request_key c2))
+      = String.equal (canonical_string c1) (canonical_string c2))
 
 (* --- unit pins ----------------------------------------------------------- *)
 
@@ -246,26 +260,15 @@ let test_decode_garbage () =
   ignore (Intern.request_key ~table:t ctx_alice);
   (* Anything that is not a dot-separated sequence of known atom syms must
      decode to None — the conservative "drop it" signal for region
-     invalidation, notably legacy sha digests. *)
+     invalidation, e.g. a hex digest from some other key scheme. *)
   List.iter
     (fun s -> check bool_ ("undecodable: " ^ s) true (Intern.decode_key ~table:t s = None))
-    [ "not-a-key"; "1.2.99999"; Decision_cache.sha_request_key ctx_alice; ".."; "1..2" ]
+    [ "not-a-key"; "1.2.99999"; String.make 64 'f'; ".."; "1..2" ]
 
-let with_scheme scheme f =
-  let saved = Decision_cache.key_scheme () in
-  Decision_cache.set_key_scheme scheme;
-  Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
-
-let test_scheme_toggle () =
-  check bool_ "packed is the default scheme" true (Decision_cache.key_scheme () = Packed);
-  with_scheme Decision_cache.Sha_hex (fun () ->
-      check string_ "Sha_hex dispatches to the legacy digest"
-        (Decision_cache.sha_request_key ctx_alice)
-        (Decision_cache.request_key ctx_alice));
-  check string_ "Packed dispatches to the interned key"
+let test_request_key_packed () =
+  check string_ "Decision_cache keys are the interned packed keys"
     (Intern.request_key ctx_alice)
-    (Decision_cache.request_key ctx_alice);
-  check bool_ "toggle restored" true (Decision_cache.key_scheme () = Packed)
+    (Decision_cache.request_key ctx_alice)
 
 let test_key_bytes_accounting () =
   let cache = Decision_cache.create ~max_entries:16 ~ttl:60.0 () in
@@ -279,12 +282,11 @@ let test_key_bytes_accounting () =
     (Decision_cache.key_bytes cache)
 
 let test_packed_keys_are_short () =
-  (* The point of the scheme: a packed key is far below the 64-hex digest
-     for realistic attribute counts, and stays XML-safe ASCII. *)
+  (* The point of the scheme: a packed key is far below a 64-hex SHA-256
+     digest for realistic attribute counts, and stays XML-safe ASCII. *)
   let t = Intern.create () in
   let key = Intern.request_key ~table:t ctx_alice in
-  check bool_ "shorter than the sha digest" true
-    (String.length key < String.length (Decision_cache.sha_request_key ctx_alice));
+  check bool_ "shorter than a hex digest" true (String.length key < 64);
   String.iter
     (fun ch ->
       check bool_ "digits and dots only" true (ch = '.' || (ch >= '0' && ch <= '9')))
@@ -300,7 +302,7 @@ let () =
             prop_value_injective;
             prop_pair_injective;
             prop_key_collision_iff_equal;
-            prop_key_schemes_agree;
+            prop_key_partition_canonical;
             prop_decode_roundtrip;
           ] );
       ( "reverse lookups",
@@ -309,7 +311,7 @@ let () =
             test_reverse_lookups;
           Alcotest.test_case "decode_key rebuilds the keyed multisets" `Quick
             test_decode_key_roundtrip;
-          Alcotest.test_case "garbage and sha digests decode to None" `Quick
+          Alcotest.test_case "garbage and foreign digests decode to None" `Quick
             test_decode_garbage;
         ] );
       ( "request keys",
@@ -327,7 +329,7 @@ let () =
         ] );
       ( "decision cache",
         [
-          Alcotest.test_case "key-scheme toggle dispatch" `Quick test_scheme_toggle;
+          Alcotest.test_case "request_key is the packed key" `Quick test_request_key_packed;
           Alcotest.test_case "resident key byte accounting" `Quick test_key_bytes_accounting;
         ] );
     ]

@@ -1,13 +1,12 @@
 (* Differential-testing oracle for evaluator equivalence.
 
-   Five evaluation paths now coexist: the reference tree walk
-   (Policy.evaluate), the target-indexed evaluator (Index.evaluate), the
-   compiled form (Compiled.evaluate), the sharded PDP tier (Pdp_tier
-   routing to Pdp_service replicas over the simulated network — run with
-   compiled shards here, so the wire path exercises the compiled
-   evaluator too), and the full caching ladder.  This oracle generates
-   random policies and request contexts from seeded, shrinkable QCheck
-   arbitraries and asserts all paths return identical decisions —
+   Three serving paths are checked against the reference tree walk
+   (Policy.evaluate): the compiled form (Compiled.evaluate), the sharded
+   PDP tier (Pdp_tier routing to Pdp_service replicas over the simulated
+   network, which serve through the compiled form), and the full caching
+   ladder.  This oracle generates random policies and request contexts
+   from seeded, shrinkable QCheck arbitraries and asserts all paths
+   return identical decisions —
    including obligations and Indeterminate propagation — for every
    combining algorithm, >= 1000 cases each.
 
@@ -25,7 +24,6 @@ module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Obligation = Dacs_policy.Obligation
 module Value = Dacs_policy.Value
-module Index = Dacs_policy.Index
 module Compiled = Dacs_policy.Compiled
 module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
@@ -140,21 +138,18 @@ let fail_diverged ~alg ~expected ~got expected_label got_label =
   QCheck.Test.fail_reportf "[%s] %s %s <> %s %s (%s)" alg expected_label (show_result expected)
     got_label (show_result got) (seed_hint ())
 
-(* --- oracle 1: reference vs target index vs compiled ------------------- *)
+(* --- oracle 1: reference vs compiled ------------------------------------ *)
 
-let index_oracle (name, alg) =
+let compiled_oracle (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "compiled/index == reference (%s)" name)
+    ~name:(Printf.sprintf "compiled == reference (%s)" name)
     ~count:1000 arb_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec alg pspec in
       let ctx = ctx_of_spec cspec in
       let reference = Policy.evaluate ctx policy in
-      let indexed = Index.evaluate ctx (Index.build policy) in
       let compiled = Compiled.evaluate ctx (Compiled.compile (Policy.Inline_policy policy)) in
-      if not (result_equal reference indexed) then
-        fail_diverged ~alg:name ~expected:reference ~got:indexed "reference" "indexed"
-      else if not (result_equal reference compiled) then
+      if not (result_equal reference compiled) then
         fail_diverged ~alg:name ~expected:reference ~got:compiled "reference" "compiled"
       else true)
 
@@ -164,14 +159,14 @@ let index_oracle (name, alg) =
    serving the generated policy, one batched query routed by the ring.
    The tier must agree with the in-process reference evaluation — wire
    encoding, batching and shard routing may not change any decision. *)
-let tier_evaluate ?(compiled = false) root ctx =
+let tier_evaluate root ctx =
   let net = Net.create ~seed:11L () in
   let services = Service.create (Dacs_net.Rpc.create net) in
   let shards =
     List.init 3 (fun i ->
         let node = Printf.sprintf "pdp%d" i in
         Net.add_node net node;
-        ignore (Pdp_service.create services ~node ~name:node ~root ~compiled ());
+        ignore (Pdp_service.create services ~node ~name:node ~root ());
         node)
   in
   Net.add_node net "dispatch";
@@ -189,7 +184,7 @@ let tier_oracle (name, alg) =
       let policy = policy_of_spec alg pspec in
       let ctx = ctx_of_spec cspec in
       let reference = Policy.evaluate ctx policy in
-      match tier_evaluate ~compiled:true (Policy.Inline_policy policy) ctx with
+      match tier_evaluate (Policy.Inline_policy policy) ctx with
       | None -> QCheck.Test.fail_reportf "[%s] tier never answered (%s)" name (seed_hint ())
       | Some (Error e) ->
         QCheck.Test.fail_reportf "[%s] tier failed closed: %s (%s)" name e (seed_hint ())
@@ -583,7 +578,7 @@ let negotiation_oracle (name, alg) =
       if not (result_equal reference compiled) then
         fail_diverged ~alg:name ~expected:reference ~got:compiled "reference" "compiled"
       else
-        match tier_evaluate ~compiled:true (Policy.Inline_policy policy) ctx with
+        match tier_evaluate (Policy.Inline_policy policy) ctx with
         | None -> QCheck.Test.fail_reportf "[%s] tier never answered (%s)" name (seed_hint ())
         | Some (Error e) ->
           QCheck.Test.fail_reportf "[%s] tier failed closed: %s (%s)" name e (seed_hint ())
@@ -593,75 +588,78 @@ let negotiation_oracle (name, alg) =
 
 (* --- oracle 6: key-scheme differential --------------------------------- *)
 
-(* The interned serving path (packed integer request keys) against the
-   legacy sorted-string + SHA-256 scheme it replaced: the whole cached
-   ladder replayed under both key schemes must serve every stage from
-   the same rung with the same decision and obligations, and the packed
-   run must still match the reference evaluation.  This is the proof
-   obligation of the key swap — a key scheme can only change *which*
-   entry a cache lookup finds, so any divergence here is a collision or
-   a canonicalisation bug, not a policy question. *)
+(* The interned serving path (packed integer request keys) against a
+   test-local canonical form of the same content: every Subject,
+   Resource and Action binding rendered with its category and type, then
+   sorted.  Two contexts must share a packed key exactly when their
+   canonical strings are equal — over the case's context, the same
+   bindings re-added in reverse order or next to an Environment
+   attribute, and the whole enumerable request population (which
+   includes the role-less context the ladder sends) — and the cached
+   ladder built on those keys must still match the reference
+   evaluation.  A key can only change *which* entry a cache
+   lookup finds, so any divergence here is a collision or a
+   canonicalisation bug, not a policy question. *)
 
-let with_scheme scheme f =
-  let saved = Decision_cache.key_scheme () in
-  Decision_cache.set_key_scheme scheme;
-  Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
+let canonical_key ctx =
+  let section category =
+    List.concat_map
+      (fun (id, bag) ->
+        List.map
+          (fun v ->
+            Printf.sprintf "%s/%s=%s" (Context.category_name category) id (Value.describe v))
+          bag)
+      (Context.attributes ctx category)
+  in
+  String.concat "|"
+    (List.sort compare (section Context.Subject @ section Context.Resource @ section Context.Action))
 
-let schemes_agree ~alg:name packed sha =
-  List.for_all2
-    (fun (stage, _, _, p_ans) (_, _, _, s_ans) ->
-      match (p_ans, s_ans) with
-      | None, None -> true
-      | Some (pr, (pp : Provenance.t)), Some (sr, (sp : Provenance.t)) ->
-        if pp.Provenance.stage <> sp.Provenance.stage then
-          QCheck.Test.fail_reportf "[%s] stage %s rung differs across key schemes: %s vs %s (%s)"
-            name stage
-            (Provenance.stage_name pp.Provenance.stage)
-            (Provenance.stage_name sp.Provenance.stage)
-            (seed_hint ())
-        else if not (result_equal pr sr) then
-          fail_diverged ~alg:name ~expected:sr ~got:pr
-            (Printf.sprintf "sha stage %s" stage)
-            (Printf.sprintf "packed stage %s" stage)
-        else true
-      | _ ->
-        QCheck.Test.fail_reportf "[%s] stage %s answered under one key scheme only (%s)" name
-          stage (seed_hint ()))
-    packed sha
+(* The full enumerable request population of the spec vocabulary,
+   including the role-absent contexts. *)
+let population =
+  List.init 24 (fun i ->
+      ctx_of_spec { role_code = i / 6; resource_code = i / 2 mod 3; action_code = i mod 2 })
+
+let keys_partition_canonically ~alg:name ctx =
+  let bindings = ref [] in
+  Context.iter ctx (fun c id bag -> List.iter (fun v -> bindings := (c, id, v) :: !bindings) bag);
+  let reversed = List.fold_left (fun acc (c, id, v) -> Context.add acc c id v) Context.empty !bindings in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          let packed = String.equal (Decision_cache.request_key a) (Decision_cache.request_key b) in
+          if packed = String.equal (canonical_key a) (canonical_key b) then true
+          else
+            QCheck.Test.fail_reportf "[%s] packed keys %s for %S vs %S (%s)" name
+              (if packed then "collide" else "split")
+              (canonical_key a) (canonical_key b) (seed_hint ()))
+        population)
+    [ ctx; reversed; Context.add ctx Context.Environment "current-time" (Value.Int 7) ]
 
 let scheme_oracle (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "packed keys: ladder == sha ladder == reference (%s)" name)
+    ~name:(Printf.sprintf "packed keys: ladder == reference, keys partition like canonical strings (%s)" name)
     ~count:100 arb_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec alg pspec in
-      let reference = Policy.evaluate (ctx_of_spec cspec) policy in
+      let ctx = ctx_of_spec cspec in
+      let reference = Policy.evaluate ctx policy in
       let root = Policy.Inline_policy policy in
-      let packed =
-        with_scheme Decision_cache.Packed (fun () -> cached_ladder_evaluate root cspec)
-      in
-      let sha =
-        with_scheme Decision_cache.Sha_hex (fun () -> cached_ladder_evaluate root cspec)
-      in
-      List.for_all (check_ladder_stage ~alg:name ~reference) packed
-      && schemes_agree ~alg:name packed sha)
+      List.for_all (check_ladder_stage ~alg:name ~reference) (cached_ladder_evaluate root cspec)
+      && keys_partition_canonically ~alg:name ctx)
 
 let delegation_scheme_oracle (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "packed keys: delegation ladder == sha ladder (%s)" name)
+    ~name:(Printf.sprintf "packed keys: delegation ladder == reference, canonical partition (%s)" name)
     ~count:60 arb_delegation_case
     (fun case ->
       let _, _, cspec = case in
+      let ctx = ctx_of_spec cspec in
       let root = delegation_filtered_root alg case in
-      let reference = Policy.evaluate_child (ctx_of_spec cspec) root in
-      let packed =
-        with_scheme Decision_cache.Packed (fun () -> cached_ladder_evaluate root cspec)
-      in
-      let sha =
-        with_scheme Decision_cache.Sha_hex (fun () -> cached_ladder_evaluate root cspec)
-      in
-      List.for_all (check_ladder_stage ~alg:name ~reference) packed
-      && schemes_agree ~alg:name packed sha)
+      let reference = Policy.evaluate_child ctx root in
+      List.for_all (check_ladder_stage ~alg:name ~reference) (cached_ladder_evaluate root cspec)
+      && keys_partition_canonically ~alg:name ctx)
 
 (* --- oracle 7: churn corpus (targeted cache invalidation) ---------------- *)
 
@@ -671,20 +669,12 @@ let delegation_scheme_oracle (name, alg) =
    full-flush arm and the uncached reference evaluation.  No request is
    in flight across a publish, so all three must agree at every step —
    any divergence means the region under-approximated the publish's
-   impact and a stale entry survived.  The corpus runs under both key
-   schemes: Sha_hex keys are undecodable, so targeted invalidation
-   degrades to per-entry flushes there and soundness must survive the
-   degradation. *)
+   impact and a stale entry survived. *)
 
 module Delta = Dacs_policy.Delta
 
-(* The full enumerable request population of the spec vocabulary
-   (including the role-absent contexts) — decided after every publish,
-   so every cached entry is re-audited against the new policy. *)
-let churn_ctxs =
-  List.init 24 (fun i ->
-      ctx_of_spec { role_code = i / 6; resource_code = i / 2 mod 3; action_code = i mod 2 })
-
+(* Every context of the population is decided after every publish, so
+   every cached entry is re-audited against the new policy. *)
 let churn_corpus ~alg ~name gens =
   let roots = List.map (fun pspec -> Policy.Inline_policy (policy_of_spec alg pspec)) gens in
   let targeted = Decision_cache.create ~ttl:3600.0 () in
@@ -718,7 +708,7 @@ let churn_corpus ~alg ~name gens =
               (seed_hint ())
           else if not (result_equal reference f) then
             fail_diverged ~alg:name ~expected:reference ~got:f "reference" "full-flush cache")
-        churn_ctxs)
+        population)
     roots;
   true
 
@@ -739,9 +729,7 @@ let churn_oracle (name, alg) =
   QCheck.Test.make
     ~name:(Printf.sprintf "churn corpus: targeted == full-flush == reference (%s)" name)
     ~count:150 arb_churn
-    (fun gens ->
-      with_scheme Decision_cache.Packed (fun () -> churn_corpus ~alg ~name gens)
-      && with_scheme Decision_cache.Sha_hex (fun () -> churn_corpus ~alg ~name gens))
+    (fun gens -> churn_corpus ~alg ~name gens)
 
 (* --- directed regressions: empty rule lists ----------------------------- *)
 
@@ -762,15 +750,11 @@ let empty_rules_cases =
             true
             (Decision.equal_decision reference.Decision.decision Decision.Not_applicable
             && reference.Decision.obligations = []);
-          let indexed = Index.evaluate ctx (Index.build policy) in
           let compiled = Compiled.evaluate ctx (Compiled.compile (Policy.Inline_policy policy)) in
-          Alcotest.(check bool)
-            (Printf.sprintf "[%s] indexed == reference" name)
-            true (result_equal reference indexed);
           Alcotest.(check bool)
             (Printf.sprintf "[%s] compiled == reference" name)
             true (result_equal reference compiled);
-          match tier_evaluate ~compiled:true (Policy.Inline_policy policy) ctx with
+          match tier_evaluate (Policy.Inline_policy policy) ctx with
           | Some (Ok tiered) ->
             Alcotest.(check bool)
               (Printf.sprintf "[%s] tier == reference" name)
@@ -783,7 +767,8 @@ let () =
   Alcotest.run "dacs_oracle"
     [
       ("empty-rules-directed", empty_rules_cases);
-      ("index-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (index_oracle a)) algorithms);
+      ( "compiled-differential",
+        List.map (fun a -> QCheck_alcotest.to_alcotest (compiled_oracle a)) algorithms );
       ("tier-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (tier_oracle a)) algorithms);
       ( "cached-ladder-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (cached_oracle a)) algorithms );

@@ -752,22 +752,21 @@ let test_shadowed_rules () =
 
 (* --- pdp ------------------------------------------------------------------------------------ *)
 
+(* The evaluation engine of Fig. 4 is [Policy.evaluate_child] over a root
+   policy, a PIP resolver and a policy-reference resolver. *)
+
 let test_pdp_stats () =
-  let pdp = Pdp.create (Policy.Inline_policy doctor_read_policy) in
-  ignore (Pdp.evaluate pdp ctx);
+  let root = Policy.Inline_policy doctor_read_policy in
   let nurse_ctx =
     Context.make
       ~subject:[ ("role", Value.String "nurse") ]
       ~action:[ ("action-id", Value.String "read") ]
       ()
   in
-  ignore (Pdp.evaluate pdp nurse_ctx);
-  let s = Pdp.stats pdp in
-  check int_ "evaluations" 2 s.Pdp.evaluations;
-  check int_ "permits" 1 s.Pdp.permits;
-  check int_ "denies" 1 s.Pdp.denies;
-  Pdp.reset_stats pdp;
-  check int_ "reset" 0 (Pdp.stats pdp).Pdp.evaluations
+  let decisions = List.map (fun c -> Policy.evaluate_child c root) [ ctx; nurse_ctx ] in
+  let count d = List.length (List.filter (fun r -> Decision.equal_decision r.Decision.decision d) decisions) in
+  check int_ "permits" 1 (count Decision.Permit);
+  check int_ "denies" 1 (count Decision.Deny)
 
 let test_pdp_pip_counted () =
   let policy =
@@ -782,16 +781,24 @@ let test_pdp_pip_counted () =
   let pip category id =
     if category = Context.Subject && id = "tier" then Some [ Value.String "gold" ] else None
   in
-  let pdp = Pdp.create ~pip (Policy.Inline_policy policy) in
-  let r = Pdp.evaluate pdp (Context.make ~subject:[ ("subject-id", Value.String "u") ] ()) in
+  let lookups = ref 0 in
+  let resolve category id =
+    incr lookups;
+    pip category id
+  in
+  let r =
+    Policy.evaluate_child ~resolve
+      (Context.make ~subject:[ ("subject-id", Value.String "u") ] ())
+      (Policy.Inline_policy policy)
+  in
   check_decision "pip supplied permit" Decision.Permit r;
-  check bool_ "pip lookups counted" true ((Pdp.stats pdp).Pdp.pip_lookups > 0)
+  check bool_ "pip lookups counted" true (!lookups > 0)
 
 let test_pdp_set_root () =
-  let pdp = Pdp.create (Policy.Inline_policy doctor_read_policy) in
-  check_decision "initial" Decision.Permit (Pdp.evaluate pdp ctx);
-  Pdp.set_root pdp (Policy.Inline_policy (Policy.make ~id:"deny" [ Rule.deny "d" ]));
-  check_decision "after swap" Decision.Deny (Pdp.evaluate pdp ctx)
+  check_decision "initial" Decision.Permit
+    (Policy.evaluate_child ctx (Policy.Inline_policy doctor_read_policy));
+  check_decision "after swap" Decision.Deny
+    (Policy.evaluate_child ctx (Policy.Inline_policy (Policy.make ~id:"deny" [ Rule.deny "d" ])))
 
 
 module Astring_find = struct
@@ -893,7 +900,7 @@ let test_variables_validation () =
           ~variables:[ ("a", Expr.Variable_ref "a") ]
           [ Rule.permit ~condition:(Expr.Variable_ref "a") "r" ]))
 
-(* --- target index ------------------------------------------------------------------------------- *)
+(* --- target index (compiled dispatch) -------------------------------------------------------------- *)
 
 let resource_rule effect i =
   let mk = match effect with Rule.Permit -> Rule.permit | Rule.Deny -> Rule.deny in
@@ -913,24 +920,24 @@ let resource_ctx i =
     ()
 
 let test_index_equivalence () =
-  let idx = Index.build indexed_policy in
-  check int_ "rule count" 101 (Index.rule_count idx);
-  check int_ "buckets" 100 (Index.bucket_count idx);
+  let idx = Compiled.compile (Policy.Inline_policy indexed_policy) in
+  check int_ "rule count" 101 (Compiled.rule_count idx);
+  check int_ "buckets" 100 (Compiled.bucket_count idx);
   List.iter
     (fun i ->
       check decision_testable
         (Printf.sprintf "res%d same decision" i)
         (Policy.evaluate (resource_ctx i) indexed_policy).Decision.decision
-        (Index.evaluate (resource_ctx i) idx).Decision.decision)
+        (Compiled.evaluate (resource_ctx i) idx).Decision.decision)
     [ 0; 1; 2; 50; 99; 1000 (* unknown resource -> fallback deny *) ]
 
 let test_index_selectivity () =
-  let idx = Index.build indexed_policy in
+  let idx = Compiled.compile (Policy.Inline_policy indexed_policy) in
   (* A request for one resource considers its bucket plus the fallback. *)
-  check int_ "two candidates" 2 (Index.candidate_count idx (resource_ctx 5));
+  check int_ "two candidates" 2 (Compiled.candidate_count idx (resource_ctx 5));
   (* No resource-id: the pre-filter cannot prune. *)
   check int_ "no pruning without resource-id" 101
-    (Index.candidate_count idx (Context.make ~subject:[ ("subject-id", Value.String "a") ] ()))
+    (Compiled.candidate_count idx (Context.make ~subject:[ ("subject-id", Value.String "a") ] ()))
 
 let test_index_respects_document_order () =
   (* Two rules for the same resource with opposite effects: first-applicable
@@ -945,9 +952,9 @@ let test_index_respects_document_order () =
   let ctx =
     Context.make ~resource:[ ("resource-id", Value.String "x") ] ()
   in
-  let idx = Index.build p in
+  let idx = Compiled.compile (Policy.Inline_policy p) in
   check_decision "linear" Decision.Deny (Policy.evaluate ctx p);
-  check_decision "indexed" Decision.Deny (Index.evaluate ctx idx)
+  check_decision "indexed" Decision.Deny (Compiled.evaluate ctx idx)
 
 let prop_index_equivalent =
   (* Random policies over a small resource pool: indexed and linear
@@ -973,12 +980,12 @@ let prop_index_equivalent =
   QCheck.Test.make ~name:"indexed evaluation = linear evaluation" ~count:300
     (QCheck.make ~print:(fun p -> Xacml_xml.child_to_string (Policy.Inline_policy p)) gen)
     (fun p ->
-      let idx = Index.build p in
+      let idx = Compiled.compile (Policy.Inline_policy p) in
       List.for_all
         (fun i ->
           Decision.equal_decision
             (Policy.evaluate (resource_ctx i) p).Decision.decision
-            (Index.evaluate (resource_ctx i) idx).Decision.decision)
+            (Compiled.evaluate (resource_ctx i) idx).Decision.decision)
         [ 0; 1; 2; 3; 4; 5; 99 ])
 
 
