@@ -13,6 +13,7 @@ module Decision = Dacs_policy.Decision
 module Combine = Dacs_policy.Combine
 module Xacml = Dacs_policy.Xacml_xml
 module Validate = Dacs_policy.Validate
+module Json = Dacs_telemetry.Json
 open Dacs_core
 
 let read_file path =
@@ -35,19 +36,6 @@ let gate_exit ~json tag checks =
   let gate = Dacs_telemetry.Gate.create ~quiet:json tag in
   List.iter (fun (name, ok, detail) -> Dacs_telemetry.Gate.check gate name ok detail) checks;
   Dacs_telemetry.Gate.exit_code gate
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* --- validate ---------------------------------------------------------- *)
 
@@ -330,14 +318,14 @@ let chaos_cmd seed json =
   if json then begin
     let schedule_json =
       String.concat ","
-        (List.map (fun sp -> Printf.sprintf "%S" (json_escape (Faults.describe sp))) schedule)
+        (List.map (fun sp -> Json.quote (Faults.describe sp)) schedule)
     in
     let requests_json =
       String.concat ","
         (List.map
            (fun (at, finished, r) ->
-             Printf.sprintf "{\"at\":%g,\"answered_at\":%g,\"outcome\":%S}" at finished
-               (json_escape (describe_outcome r)))
+             Printf.sprintf "{\"at\":%g,\"answered_at\":%g,\"outcome\":%s}" at finished
+               (Json.quote (describe_outcome r)))
            sorted)
     in
     Printf.printf
@@ -444,7 +432,7 @@ let tier_cmd shards batch seed requests json =
       String.concat ","
         (List.map
            (fun shard ->
-             Printf.sprintf "{\"shard\":%S,\"dispatched\":%d,\"evaluated\":%d}" shard
+             Printf.sprintf "{\"shard\":%s,\"dispatched\":%d,\"evaluated\":%d}" (Json.quote shard)
                (dispatched shard) (per_shard "pdp_queries_total" shard))
            shard_nodes)
     in
@@ -720,9 +708,9 @@ let explain_cmd seed json =
       String.concat ","
         (List.map
            (fun e ->
-             Printf.sprintf "{\"at\":%.6f,\"subject\":%S,\"action\":%S,\"decision\":%S,\"provenance\":%s}"
-               e.Audit.at (json_escape e.Audit.subject) (json_escape e.Audit.action)
-               (json_escape (Decision.decision_to_string e.Audit.decision))
+             Printf.sprintf "{\"at\":%.6f,\"subject\":%s,\"action\":%s,\"decision\":%s,\"provenance\":%s}"
+               e.Audit.at (Json.quote e.Audit.subject) (Json.quote e.Audit.action)
+               (Json.quote (Decision.decision_to_string e.Audit.decision))
                (match e.Audit.provenance with
                | Some p -> Provenance.to_json p
                | None -> "null"))
@@ -1049,12 +1037,12 @@ let delta_cmd json =
   in
   if json then begin
     let fields =
-      List.map (fun (name, ok, _) -> Printf.sprintf "\"%s\":%b" (json_escape name) ok) checks
+      List.map (fun (name, ok, _) -> Printf.sprintf "%s:%b" (Json.quote name) ok) checks
     in
     Printf.printf
-      "{\"region_0_1\":\"%s\",\"region_1_2\":\"%s\",\"zones_1_2\":%d,\"warm\":%d,\"dropped\":%d,%s}\n"
-      (json_escape (Delta.to_string region01))
-      (json_escape (Delta.to_string region12))
+      "{\"region_0_1\":%s,\"region_1_2\":%s,\"zones_1_2\":%d,\"warm\":%d,\"dropped\":%d,%s}\n"
+      (Json.quote (Delta.to_string region01))
+      (Json.quote (Delta.to_string region12))
       (Delta.zone_count region12) warm dropped (String.concat "," fields)
   end
   else begin

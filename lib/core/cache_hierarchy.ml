@@ -202,33 +202,19 @@ module L2 = struct
   let subscribe t ~child =
     if not (List.mem child t.children) then t.children <- child :: t.children
 
-  (* Fan an invalidation down the syndication hierarchy (Fig. 5 in
-     reverse: purges flow parent -> child, the same edges policy updates
-     flow).  Each child ack is a sample of the invalidation latency —
-     how long a revoked grant can still be served from that child. *)
-  let fan_out t key =
+  (* Fan a purge down the syndication hierarchy (Fig. 5 in reverse:
+     purges flow parent -> child, the same edges policy updates flow).
+     Each child ack is a sample of the invalidation latency — how long a
+     revoked grant can still be served from that child.  Region purges
+     travel on their own service so a receiver can apply the same
+     targeted drop; every frame carries the sender's post-purge epoch, so
+     a delivered push satisfies the next anti-entropy poll and a lost one
+     is repaired by it (a region as a conservative full purge). *)
+  let fan_out t ~service frame =
     let started = now t in
     List.iter
       (fun child ->
-        Service.call t.services ~src:t.node ~dst:child ~service:"cache-invalidate"
-          (Wire.cache_invalidate ~epoch:t.epoch key)
-          (fun reply ->
-            match reply with
-            | Ok _ -> Metrics.observe t.h_latency (now t -. started)
-            | Error _ -> ()))
-      t.children
-
-  (* Region purges fan down their own service so a receiver can apply
-     the same targeted drop; the frame carries the sender's post-purge
-     epoch, so a delivered push satisfies the next anti-entropy poll and
-     a lost one is repaired by it (as a conservative full purge). *)
-  let fan_out_region t region =
-    let started = now t in
-    List.iter
-      (fun child ->
-        Service.call t.services ~src:t.node ~dst:child ~service:"cache-region"
-          (Wire.cache_region ~epoch:t.epoch region)
-          (fun reply ->
+        Service.call t.services ~src:t.node ~dst:child ~service frame (fun reply ->
             match reply with
             | Ok _ -> Metrics.observe t.h_latency (now t -. started)
             | Error _ -> ()))
@@ -243,7 +229,7 @@ module L2 = struct
     | Some k -> Decision_cache.invalidate t.cache ~key:k);
     Metrics.inc t.c_invalidations;
     t.on_invalidate key;
-    fan_out t key
+    fan_out t ~service:"cache-invalidate" (Wire.cache_invalidate ~epoch:t.epoch key)
 
   let apply_region t region =
     ignore (Decision_cache.invalidate_region t.cache region);
@@ -251,7 +237,7 @@ module L2 = struct
     t.epoch <- t.epoch + 1;
     Metrics.inc t.c_invalidations;
     t.on_region region;
-    fan_out_region t region
+    fan_out t ~service:"cache-region" (Wire.cache_region ~epoch:t.epoch region)
 
   let invalidate_all t =
     Trace.record (tracer t) ("l2:invalidate-all " ^ t.node);

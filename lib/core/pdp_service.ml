@@ -59,7 +59,6 @@ type t = {
   service_time : float;
   max_inflight : int option;
   attr_cache : Cache_hierarchy.Attr_cache.t option;
-  attr_batch : bool;
   h_attr_batch : Metrics.histogram;
   h_eval : Metrics.histogram;
   h_pip_fetch : Metrics.histogram;
@@ -201,39 +200,11 @@ let evaluate_pass t ~subject_sym ctx attempted =
   in
   (result, List.sort_uniq compare !misses)
 
-(* Legacy sequential fetch: one RPC per (attribute, PIP) attempt, first
-   non-empty answer wins.  Kept behind [attr_batch = false] so the e17
-   ablation can price the batching alone. *)
-let rec fetch_attribute t ~subject (category, id) pips k =
-  match pips with
-  | [] -> k []
-  | pip :: rest ->
-    Metrics.inc t.counters.c_pip_fetches;
-    Service.call_resilient t.services ~src:t.node ~dst:pip ?retry:t.retry ~service:"attribute-query"
-      (Wire.attribute_query ~category ~attribute_id:id ~subject)
-      (fun result ->
-        match result with
-        | Ok body -> (
-          match Wire.parse_attribute_result body with
-          | Ok [] | Error _ -> fetch_attribute t ~subject (category, id) rest k
-          | Ok bag -> k bag)
-        | Error _ -> fetch_attribute t ~subject (category, id) rest k)
-
-let rec fetch_sequential t ~subject misses ctx k =
-  match misses with
-  | [] -> k ctx
-  | ((category, id) as miss) :: rest ->
-    fetch_attribute t ~subject miss t.pips (fun bag ->
-        store_attr t ~subject miss bag;
-        let ctx = if bag = [] then ctx else Context.add_bag ctx category id bag in
-        fetch_sequential t ~subject rest ctx k)
-
 (* Batched fetch: every outstanding miss rides one multi-part frame to
    the PIP — one correlation id, one timeout, one retry/breaker envelope
    for the whole attribute round (the B/BT envelope of the tier).  Only
    attributes the first PIP answered empty (or a failed frame) move on
-   to the next PIP, preserving the first-non-empty-wins semantics of the
-   sequential path. *)
+   to the next PIP: the first non-empty answer wins. *)
 let fetch_batched t ~subject misses ctx k =
   let rec go misses ctx pips =
     match (misses, pips) with
@@ -269,7 +240,8 @@ let fetch_batched t ~subject misses ctx k =
       in
       (match bodies with
       | [ single ] ->
-        (* A batch of one needs no envelope. *)
+        (* A batch of one needs no envelope: it goes as a plain call,
+           which is what the wire and the Fig. 3 span tree show. *)
         Service.call_resilient t.services ~src:t.node ~dst:pip ?retry:t.retry
           ~service:"attribute-query" single (fun result -> handle [ result ])
       | _ ->
@@ -281,23 +253,15 @@ let fetch_batched t ~subject misses ctx k =
   in
   go misses ctx t.pips
 
-(* The trace id the ambient context belongs to, as the exemplar tag for
-   latency histograms — "" (no exemplar) when tracing is off. *)
-let trace_tag tr =
-  match Trace.current tr with
-  | Some ctx -> Printf.sprintf "%Lx" ctx.Trace.trace_id
-  | None -> ""
-
 let fetch_all t ~subject misses attempted ctx k =
   List.iter (fun miss -> Hashtbl.replace attempted miss ()) misses;
   let started = now t in
-  let tag = trace_tag (tracer t) in
+  let tag = Trace.exemplar_tag (tracer t) in
   let k ctx =
     Metrics.observe_exemplar t.h_pip_fetch (now t -. started) ~trace:tag ~at:(now t);
     k ctx
   in
-  if t.attr_batch then fetch_batched t ~subject misses ctx k
-  else fetch_sequential t ~subject misses ctx k
+  fetch_batched t ~subject misses ctx k
 
 let evaluate_local t ctx k =
   (* One span per evaluation, covering the PAP refresh and every PIP
@@ -307,11 +271,9 @@ let evaluate_local t ctx k =
   let span = Trace.start_span tr "pdp:evaluate" in
   Trace.annotate span "node" t.node;
   let started = now t in
-  let tag =
-    if Trace.enabled tr then Printf.sprintf "%Lx" (Trace.context span).Trace.trace_id else ""
-  in
   let saved = Trace.current tr in
   if Trace.enabled tr then Trace.set_current tr (Some (Trace.context span));
+  let tag = Trace.exemplar_tag tr in
   ensure_policy t (fun () ->
       let subject = Option.value (Context.subject_id ctx) ~default:"" in
       let subject_sym = Cache_hierarchy.Attr_cache.subject_sym subject in
@@ -371,7 +333,7 @@ let overloaded t =
 let overload_reason = "pdp overloaded"
 
 let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retry
-    ?(service_time = 0.0) ?max_inflight ?attr_cache_ttl ?(attr_batch = true) ?(compiled = true) ()
+    ?(service_time = 0.0) ?max_inflight ?attr_cache_ttl ?(compiled = true) ()
     =
   if not compiled then invalid_arg "Pdp_service.create: ~compiled:false (only compiled evaluation serves)";
   let refresh =
@@ -396,7 +358,6 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retr
       service_time;
       max_inflight;
       attr_cache;
-      attr_batch;
       h_attr_batch =
         Metrics.histogram metrics ~help:"Missing attributes fetched per PIP round trip"
           ~buckets:[ 1.0; 2.0; 4.0; 8.0; 16.0 ]

@@ -26,7 +26,6 @@ val create :
   ?service_time:float ->
   ?max_inflight:int ->
   ?attr_cache_ttl:float ->
-  ?attr_batch:bool ->
   ?compiled:bool ->
   unit ->
   t
@@ -54,11 +53,9 @@ val create :
     reused across decisions for that long, the PDP subscribes to its
     PIPs for explicit invalidation pushes ([remove_subject_attribute]
     purges subscribed caches immediately), and serves
-    ["attribute-invalidate"].  [attr_batch] (default true) resolves all
-    attributes missing from a context-handler round in one multi-part
-    frame per PIP — the B/BT batch envelope — instead of one RPC per
-    attribute; [false] restores the sequential shape (the e17 ablation
-    baseline).
+    ["attribute-invalidate"].  All attributes missing from a
+    context-handler round are resolved in one multi-part frame per PIP —
+    the B/BT batch envelope — whether or not the cache is on.
 
     [compiled] is kept only because the benchmark under
     [perfbench/] passes [~compiled:true]; it goes when that benchmark is

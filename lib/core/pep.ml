@@ -211,23 +211,16 @@ let reset_stats t =
 
 let now t = Dacs_net.Net.now (Service.net t.services)
 
-let invalidate_cache t =
+let cache_of t =
   match t.mode with
-  | Pull { cache = Some cache; _ } | Sharded { cache = Some cache; _ } ->
-    Decision_cache.invalidate_all cache
-  | Pull _ | Sharded _ | Push _ | Agent _ -> ()
+  | Pull { cache; _ } | Sharded { cache; _ } -> cache
+  | Push _ | Agent _ -> None
 
-let invalidate_key t ~key =
-  match t.mode with
-  | Pull { cache = Some cache; _ } | Sharded { cache = Some cache; _ } ->
-    Decision_cache.invalidate cache ~key
-  | Pull _ | Sharded _ | Push _ | Agent _ -> ()
+let invalidate_cache t = Option.iter Decision_cache.invalidate_all (cache_of t)
+let invalidate_key t ~key = Option.iter (fun cache -> Decision_cache.invalidate cache ~key) (cache_of t)
 
 let invalidate_region t region =
-  match t.mode with
-  | Pull { cache = Some cache; _ } | Sharded { cache = Some cache; _ } ->
-    Decision_cache.invalidate_region cache region
-  | Pull _ | Sharded _ | Push _ | Agent _ -> 0
+  match cache_of t with Some cache -> Decision_cache.invalidate_region cache region | None -> 0
 
 let set_l2 t l2 = t.l2 <- l2
 let l2 t = t.l2
@@ -379,13 +372,6 @@ let build_context t ~subject_attrs ~action =
    queries (same request key) are coalesced onto one descent.  Every exit
    mints a provenance record naming the rung that answered. *)
 
-(* The ambient trace id as the exemplar tag for latency histograms — ""
-   (no exemplar) when tracing is off. *)
-let trace_tag tr =
-  match Trace.current tr with
-  | Some ctx -> Printf.sprintf "%Lx" ctx.Trace.trace_id
-  | None -> ""
-
 let l1_put t cache ~key result =
   match cache with
   | Some cache -> Decision_cache.put cache ~now:(now t) ~key result
@@ -404,7 +390,7 @@ let consult_l2 t cache ~key ~miss k =
   | None -> miss ()
   | Some l2 ->
     let started = now t in
-    let tag = trace_tag (tracer t) in
+    let tag = Trace.exemplar_tag (tracer t) in
     Cache_hierarchy.L2.remote_lookup t.services ~src:t.node ~l2 ~key (fun answer ->
         Metrics.observe_exemplar t.counters.h_l2_lookup (now t -. started) ~trace:tag
           ~at:(now t);
@@ -475,7 +461,17 @@ let offline_serve t ctx ~mk k =
       Trace.record (tracer t) "pep:offline-serve";
       Some (k (result, mk ~epoch:(Offline.epoch o) ~log_head:head)))
 
-let pull_decide t ~pdps ~cache ~call_timeout ctx k =
+(* The one ladder.  The live rung is the only one that depends on the
+   mode: [live t upstream] obtains one decision for [key] and says who
+   answered — [Error reason] when no decision point could be reached.
+   It comes as a closed function plus its [upstream] rather than as a
+   closure, so a descent answered from cache allocates nothing for it.
+   Degraded availability (§ dependability): with every replica down, a
+   decision expired by at most [stale_window] seconds is still served —
+   the last answer the policy actually gave — in preference to denying
+   all access; then the offline log; beyond that we fail closed with
+   [reason]. *)
+let ladder t ~cache ~live upstream ctx k =
   let key = Decision_cache.request_key ctx in
   match join_flight t ~key k with
   | Cache_hierarchy.Single_flight.Coalesced -> Trace.record (tracer t) "pep:coalesced"
@@ -492,128 +488,72 @@ let pull_decide t ~pdps ~cache ~call_timeout ctx k =
       Trace.record (tracer t) "pep:cache-hit";
       k (result, prov Provenance.L1)
     | Decision_cache.Stale _ | Decision_cache.Absent ->
-      (* Degraded availability (§ dependability): with every replica down, a
-         decision expired by at most [stale_window] seconds is still served
-         — the last answer the policy actually gave — in preference to
-         denying all access.  Beyond the bound we fail closed. *)
-      let degrade ~failovers () =
-        match found with
-        | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
-          Metrics.inc t.counters.c_stale_serves;
-          Trace.record (tracer t) "pep:stale-serve";
-          k (result, prov ~failovers ~stale_age:age Provenance.Stale)
-        | _ -> (
-          let mk ~epoch ~log_head = prov ~failovers ~epoch ~log_head Provenance.Offline in
-          match offline_serve t ctx ~mk k with
-          | Some () -> ()
-          | None ->
-            k
-              ( Decision.indeterminate "no decision point reachable",
-                prov ~failovers Provenance.Fail_closed ))
-      in
-      let live_started = ref 0.0 in
-      let live_tag = ref "" in
-      let live_done () =
-        Metrics.observe_exemplar t.counters.h_live_call (now t -. !live_started)
-          ~trace:!live_tag ~at:(now t)
-      in
-      let rec try_pdps ~failovers = function
-        | [] ->
-          live_done ();
-          degrade ~failovers ()
-        | pdp :: rest ->
-          Metrics.inc t.counters.c_pdp_calls;
-          Service.call_resilient t.services ~src:t.node ~dst:pdp ~service:"authz-query"
-            ~timeout:call_timeout ?retry:t.retry (Wire.authz_query ctx)
-            (fun response ->
-              match response with
-              | Ok body -> (
-                let parsed =
-                  match t.decision_trust with
-                  | None -> Wire.parse_authz_response body
-                  | Some trust ->
-                    (* Only authenticated decisions are enforceable. *)
-                    Result.map fst (Wire.verify_signed_authz_response ~trust ~now:(now t) body)
-                in
-                live_done ();
-                match parsed with
-                | Ok result ->
-                  l1_put t cache ~key result;
-                  l2_put t ~key result;
-                  k
-                    ( result,
-                      prov ~shard:pdp ~failovers ~epoch:(Wire.authz_response_epoch body)
-                        Provenance.Live )
-                | Error e ->
-                  k
-                    ( Decision.indeterminate ("unacceptable PDP response: " ^ e),
-                      prov ~shard:pdp ~failovers Provenance.Live ))
-              | Error _ ->
-                (* Failover to the next replica (§ dependability). *)
-                if rest <> [] then begin
-                  Metrics.inc t.counters.c_failovers;
-                  Trace.record (tracer t) ("pep:failover from " ^ pdp)
-                end;
-                try_pdps ~failovers:(failovers + 1) rest)
-      in
-      let live () =
-        live_started := now t;
-        live_tag := trace_tag (tracer t);
-        try_pdps ~failovers:0 pdps
-      in
-      consult_l2 t cache ~key ~miss:live (fun result -> k (result, prov Provenance.L2)))
-
-(* --- sharded mode --------------------------------------------------------- *)
-
-let tier_decide t ~tier ~cache ctx k =
-  let key = Decision_cache.request_key ctx in
-  match join_flight t ~key k with
-  | Cache_hierarchy.Single_flight.Coalesced -> Trace.record (tracer t) "pep:coalesced"
-  | Cache_hierarchy.Single_flight.Leader k -> (
-    let prov = provenance_minter t in
-    let found =
-      match cache with
-      | None -> Decision_cache.Absent
-      | Some cache -> Decision_cache.lookup cache ~now:(now t) ~max_stale:t.stale_window ~key
-    in
-    match found with
-    | Decision_cache.Fresh result ->
-      Metrics.inc t.counters.c_cache_hits;
-      Trace.record (tracer t) "pep:cache-hit";
-      k (result, prov Provenance.L1)
-    | Decision_cache.Stale _ | Decision_cache.Absent ->
-      let live () =
-        Metrics.inc t.counters.c_pdp_calls;
+      let live_rung () =
         let started = now t in
-        let tag = trace_tag (tracer t) in
-        Pdp_tier.decide_meta ~key tier ctx (fun outcome meta ->
+        let tag = Trace.exemplar_tag (tracer t) in
+        live t upstream ~key ctx (fun outcome { Pdp_tier.shard; batch; failovers; epoch } ->
             Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag
               ~at:(now t);
-            let { Pdp_tier.shard; batch; failovers; epoch } = meta in
             match outcome with
             | Ok result ->
               l1_put t cache ~key result;
               l2_put t ~key result;
               k (result, prov ?shard ~batch ~failovers ~epoch Provenance.Live)
             | Error reason -> (
-              (* Same degradation ladder as pull mode, per shard: the tier
-                 already exhausted its replicas, so serve a bounded-stale
-                 decision if we hold one, else fail closed. *)
               match found with
               | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
                 Metrics.inc t.counters.c_stale_serves;
                 Trace.record (tracer t) "pep:stale-serve";
                 k (result, prov ~failovers ~stale_age:age Provenance.Stale)
               | _ -> (
-                let mk ~epoch ~log_head =
-                  prov ~failovers ~epoch ~log_head Provenance.Offline
-                in
+                let mk ~epoch ~log_head = prov ~failovers ~epoch ~log_head Provenance.Offline in
                 match offline_serve t ctx ~mk k with
                 | Some () -> ()
-                | None ->
-                  k (Decision.indeterminate reason, prov ~failovers Provenance.Fail_closed))))
+                | None -> k (Decision.indeterminate reason, prov ~failovers Provenance.Fail_closed))))
       in
-      consult_l2 t cache ~key ~miss:live (fun result -> k (result, prov Provenance.L2)))
+      consult_l2 t cache ~key ~miss:live_rung (fun result -> k (result, prov Provenance.L2)))
+
+(* Pull mode's live rung: ordered failover over the configured replicas,
+   one plain query each.  A response that fails to parse or verify is
+   still an answer from that replica — only enforceable decisions count,
+   so it becomes an Indeterminate — while a transport failure moves on
+   to the next replica (§ dependability). *)
+let pull_live t (pdps, call_timeout) ~key:_ ctx deliver =
+  let rec attempt failovers = function
+    | [] ->
+      deliver (Error "no decision point reachable")
+        { Pdp_tier.shard = None; batch = 0; failovers; epoch = 0 }
+    | pdp :: rest ->
+      Metrics.inc t.counters.c_pdp_calls;
+      Service.call_resilient t.services ~src:t.node ~dst:pdp ~service:"authz-query"
+        ~timeout:call_timeout ?retry:t.retry (Wire.authz_query ctx) (fun response ->
+          match response with
+          | Ok body -> (
+            let answered = { Pdp_tier.shard = Some pdp; batch = 0; failovers; epoch = 0 } in
+            let parsed =
+              match t.decision_trust with
+              | None -> Wire.parse_authz_response body
+              | Some trust ->
+                Result.map fst (Wire.verify_signed_authz_response ~trust ~now:(now t) body)
+            in
+            match parsed with
+            | Ok result -> deliver (Ok result) { answered with epoch = Wire.authz_response_epoch body }
+            | Error e ->
+              deliver (Ok (Decision.indeterminate ("unacceptable PDP response: " ^ e))) answered)
+          | Error _ ->
+            if rest <> [] then begin
+              Metrics.inc t.counters.c_failovers;
+              Trace.record (tracer t) ("pep:failover from " ^ pdp)
+            end;
+            attempt (failovers + 1) rest)
+  in
+  attempt 0 pdps
+
+(* Sharded mode's live rung: one descent through the tier, which does its
+   own batching and shard failover. *)
+let tier_live t tier ~key ctx deliver =
+  Metrics.inc t.counters.c_pdp_calls;
+  Pdp_tier.decide_meta ~key tier ctx deliver
 
 (* --- push mode --------------------------------------------------------------- *)
 
@@ -680,8 +620,8 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
    exist on the wire, so it is out of scope here. *)
 let decide_admitted t ctx k =
   match t.mode with
-  | Pull { pdps; cache; call_timeout } -> pull_decide t ~pdps ~cache ~call_timeout ctx k
-  | Sharded { tier; cache } -> tier_decide t ~tier ~cache ctx k
+  | Pull { pdps; cache; call_timeout } -> ladder t ~cache ~live:pull_live (pdps, call_timeout) ctx k
+  | Sharded { tier; cache } -> ladder t ~cache ~live:tier_live tier ctx k
   | Agent pdp ->
     Pdp_service.evaluate_local pdp ctx (fun result ->
         k
@@ -714,7 +654,7 @@ let release_slot t =
    bounded by the queue it can actually wait in. *)
 let decide_explained t ctx k =
   let started = now t in
-  let tag = trace_tag (tracer t) in
+  let tag = Trace.exemplar_tag (tracer t) in
   let finish (result, (p : Provenance.t)) =
     Metrics.observe_exemplar
       (t.counters.h_decide p.Provenance.stage)

@@ -7,8 +7,9 @@
       into an authorisation query to its PDP (with decision caching and
       ordered failover across PDP replicas — the dependability machinery).
     - {b Sharded}: pull semantics over a {!Pdp_tier} — queries are
-      hash-partitioned and batched across PDP replicas, with the same
-      caching, stale-degradation and fail-closed behaviour per shard.
+      hash-partitioned and batched across PDP replicas.  Pull and sharded
+      modes walk one decision ladder (caches, stale degradation, offline
+      log, fail closed); only its live rung differs.
     - {b Push} (capability-issuing, Fig. 2): the request must carry a
       signed capability assertion; the PEP verifies it locally, optionally
       checks revocation with the issuer, and can still consult a local PDP

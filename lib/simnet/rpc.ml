@@ -258,42 +258,12 @@ let decode payload =
       | _ -> None))
   [@@warning "-4"]
 
-let dispatch_request t (msg : Net.message) id service trace body =
-  match Hashtbl.find_opt t.services (msg.Net.dst, service) with
-  | None ->
-    Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:"rpc-error"
-      (encode_error id ("no-such-service:" ^ service))
-  | Some handler ->
-    Metrics.inc (served_counter t service);
-    let span =
-      if Trace.enabled t.tracer then begin
-        let s =
-          match trace with
-          | Some ctx -> Trace.start_span t.tracer ~parent:ctx ("serve:" ^ service)
-          | None -> Trace.start_span t.tracer ("serve:" ^ service)
-        in
-        Trace.annotate s "node" msg.Net.dst;
-        Trace.annotate s "caller" msg.Net.src;
-        Some s
-      end
-      else None
-    in
-    let reply body =
-      (* The server span closes when the handler replies — possibly much
-         later than the handler returned, after its own nested calls. *)
-      Option.iter (fun s -> Trace.finish t.tracer s) span;
-      Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply")
-        (encode_reply id body)
-    in
-    let saved = Trace.current t.tracer in
-    Option.iter (fun s -> Trace.set_current t.tracer (Some (Trace.context s))) span;
-    handler ~caller:msg.Net.src body reply;
-    Trace.set_current t.tracer saved
-
-(* A batch dispatches each part to the ordinary per-request handler and
-   replies once, when the last part's (possibly asynchronous) reply has
-   arrived — one round-trip, one fault envelope for the whole batch. *)
-let dispatch_batch t (msg : Net.message) id service trace parts =
+(* A single request is a batch of one.  Each part goes to the ordinary
+   per-request handler, and the reply leaves once the last part's
+   (possibly asynchronous) reply has arrived — one round-trip, one fault
+   envelope for the whole frame.  Only the reply encoding differs: a
+   single request's reply is the bare body. *)
+let dispatch t (msg : Net.message) id service trace ~batched parts =
   match Hashtbl.find_opt t.services (msg.Net.dst, service) with
   | None ->
     Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:"rpc-error"
@@ -303,14 +273,11 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
     Metrics.inc ~by:n (served_counter t service);
     let span =
       if Trace.enabled t.tracer then begin
-        let s =
-          match trace with
-          | Some ctx -> Trace.start_span t.tracer ~parent:ctx ("serve-batch:" ^ service)
-          | None -> Trace.start_span t.tracer ("serve-batch:" ^ service)
-        in
+        let name = (if batched then "serve-batch:" else "serve:") ^ service in
+        let s = Trace.start_span t.tracer ?parent:trace name in
         Trace.annotate s "node" msg.Net.dst;
         Trace.annotate s "caller" msg.Net.src;
-        Trace.annotate s "batch" (string_of_int n);
+        if batched then Trace.annotate s "batch" (string_of_int n);
         Some s
       end
       else None
@@ -321,9 +288,11 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
       replies.(i) <- body;
       decr outstanding;
       if !outstanding = 0 then begin
+        (* The server span closes when the handler replies — possibly much
+           later than the handler returned, after its own nested calls. *)
         Option.iter (fun s -> Trace.finish t.tracer s) span;
         Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply")
-          (encode_reply id (encode_parts (Array.to_list replies)))
+          (encode_reply id (if batched then encode_parts (Array.to_list replies) else body))
       end
     in
     let saved = Trace.current t.tracer in
@@ -334,12 +303,12 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
 let handle_message t (msg : Net.message) =
   match decode msg.Net.payload with
   | None -> ()
-  | Some (Request (id, service, body)) -> dispatch_request t msg id service None body
+  | Some (Request (id, service, body)) -> dispatch t msg id service None ~batched:false [ body ]
   | Some (Traced_request { id; service; trace; body }) ->
-    dispatch_request t msg id service (Trace.context_of_string trace) body
-  | Some (Batch_request (id, service, parts)) -> dispatch_batch t msg id service None parts
+    dispatch t msg id service (Trace.context_of_string trace) ~batched:false [ body ]
+  | Some (Batch_request (id, service, parts)) -> dispatch t msg id service None ~batched:true parts
   | Some (Traced_batch_request { id; service; trace; parts }) ->
-    dispatch_batch t msg id service (Trace.context_of_string trace) parts
+    dispatch t msg id service (Trace.context_of_string trace) ~batched:true parts
   | Some (Reply (id, body)) -> (
     match Hashtbl.find_opt t.pending id with
     | None -> () (* reply after timeout: drop *)

@@ -293,28 +293,15 @@ let render t =
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json t =
   let labels_json labels =
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%S:%S" (json_escape k) (json_escape v)) labels)
+        (List.map (fun (k, v) -> Json.quote k ^ ":" ^ Json.quote v) labels)
     ^ "}"
   in
   let sample_json s =
-    let common = Printf.sprintf "\"name\":%S,\"labels\":%s" (json_escape s.name) (labels_json s.labels) in
+    let common = Printf.sprintf "\"name\":%s,\"labels\":%s" (Json.quote s.name) (labels_json s.labels) in
     match s.value with
     | Counter c -> Printf.sprintf "{%s,\"type\":\"counter\",\"value\":%d}" common c
     | Gauge g -> Printf.sprintf "{%s,\"type\":\"gauge\",\"value\":%s}" common (float_str g)

@@ -35,6 +35,11 @@ val enabled : t -> bool
 val current : t -> context option
 val set_current : t -> context option -> unit
 
+val exemplar_tag : t -> string
+(** The ambient trace id in hex — the exemplar tag a latency histogram
+    observation links to its trace — or [""] (no exemplar) when no span
+    is current. *)
+
 (** {1 Span lifecycle} *)
 
 val start_span : t -> ?parent:context -> string -> span

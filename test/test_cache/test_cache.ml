@@ -70,7 +70,7 @@ type fx = {
   alice : Client.t;
 }
 
-let setup ?(attr_batch = true) ?(attr_cache = true) ?cache () =
+let setup ?(attr_cache = true) ?cache () =
   let net = Net.create ~seed:3L () in
   let services = Service.create (Rpc.create net) in
   let add id =
@@ -88,7 +88,7 @@ let setup ?(attr_batch = true) ?(attr_cache = true) ?cache () =
   let pdp =
     Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:attr_policy ~pips:[ "pip" ]
       ?attr_cache_ttl:(if attr_cache then Some 60.0 else None)
-      ~attr_batch ()
+      ()
   in
   let pep =
     Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
@@ -129,15 +129,6 @@ let test_batched_single_round_trip () =
   | Some c ->
     check int_ "three bags cached" 3 (Cache_hierarchy.Attr_cache.size c);
     check bool_ "cache hits recorded" true (Cache_hierarchy.Attr_cache.hits c >= 3)
-
-let test_sequential_ablation () =
-  let fx = setup ~attr_batch:false () in
-  let o1 = ref None in
-  request fx ~at:1.0 o1;
-  Net.run fx.net;
-  check bool_ "granted" true (granted o1);
-  check int_ "one RPC per missing attribute" 3 (Pdp_service.stats fx.pdp).Pdp_service.pip_fetches;
-  check int_ "the PIP served the same three" 3 (Pip.lookups_served fx.pip)
 
 let test_legacy_no_attr_cache () =
   let fx = setup ~attr_cache:false () in
@@ -656,8 +647,6 @@ let () =
         [
           Alcotest.test_case "all misses resolved in one PIP round trip" `Quick
             test_batched_single_round_trip;
-          Alcotest.test_case "sequential ablation costs one RPC per attribute" `Quick
-            test_sequential_ablation;
           Alcotest.test_case "without the cache every decision refetches" `Quick
             test_legacy_no_attr_cache;
           Alcotest.test_case "PIP pushes purge exactly the dropped attribute" `Quick

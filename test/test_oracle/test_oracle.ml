@@ -206,8 +206,12 @@ let tier_oracle (name, alg) =
    reference evaluation sees the same attributes inline.  No stage may
    change the decision or the obligations (the fail-closed floor, which
    answers Indeterminate by design, asserts that shape instead), and
-   every stage's provenance record must name the rung that was forced. *)
-let cached_ladder_evaluate root cspec =
+   every stage's provenance record must name the rung that was forced.
+   The live rung is either upstream: pull-mode failover over the one PDP,
+   or a one-shard sharded tier — both must mint identical rungs. *)
+let upstreams = [ ("pull", `Pull); ("sharded", `Sharded) ]
+
+let cached_ladder_evaluate upstream root cspec =
   let net = Net.create ~seed:23L () in
   let services = Service.create (Dacs_net.Rpc.create net) in
   let add id =
@@ -223,10 +227,15 @@ let cached_ladder_evaluate root cspec =
        ~attr_cache_ttl:600.0 ());
   let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:600.0 () in
   let cache = Decision_cache.create ~ttl:600.0 () in
-  let pep =
-    Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
-      (Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 })
+  let node = add "pep" in
+  let mode =
+    match upstream with
+    | `Pull -> Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 }
+    | `Sharded ->
+      let tier = Pdp_tier.create services ~node ~shards:[ "pdp" ] ~call_timeout:5.0 () in
+      Pep.Sharded { tier; cache = Some cache }
   in
+  let pep = Pep.create services ~node ~domain:"d" ~resource:"r" ~content:"c" mode in
   Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2));
   (* Lean context: role withheld, resolved at the PIP on the cached path. *)
   let ctx =
@@ -354,9 +363,9 @@ let check_ladder_stage ~alg:name ~reference
           fail_diverged ~alg:name ~expected:reference ~got:cached "reference"
             (Printf.sprintf "cached stage %s" stage)
 
-let cached_oracle (name, alg) =
+let cached_oracle (mode, upstream) (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "caching ladder == reference (%s)" name)
+    ~name:(Printf.sprintf "caching ladder == reference (%s, %s)" mode name)
     ~count:300 arb_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec alg pspec in
@@ -368,7 +377,7 @@ let cached_oracle (name, alg) =
       else
         List.for_all
           (check_ladder_stage ~alg:name ~reference)
-          (cached_ladder_evaluate (Policy.Inline_policy policy) cspec))
+          (cached_ladder_evaluate upstream (Policy.Inline_policy policy) cspec))
 
 let algorithms =
   [
@@ -485,9 +494,9 @@ let delegation_tier_oracle (name, alg) =
           if result_equal reference tiered then true
           else fail_diverged ~alg:name ~expected:reference ~got:tiered "reference" "tier")
 
-let delegation_cached_oracle (name, alg) =
+let delegation_cached_oracle (mode, upstream) (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "delegation-filtered set: caching ladder == reference (%s)" name)
+    ~name:(Printf.sprintf "delegation-filtered set: caching ladder == reference (%s, %s)" mode name)
     ~count:100 arb_delegation_case
     (fun case ->
       let _, _, cspec = case in
@@ -495,7 +504,7 @@ let delegation_cached_oracle (name, alg) =
       let reference = Policy.evaluate_child (ctx_of_spec cspec) root in
       List.for_all
         (check_ladder_stage ~alg:name ~reference)
-        (cached_ladder_evaluate root cspec))
+        (cached_ladder_evaluate upstream root cspec))
 
 (* --- oracle 5: negotiation-gated requests ------------------------------- *)
 
@@ -637,28 +646,34 @@ let keys_partition_canonically ~alg:name ctx =
         population)
     [ ctx; reversed; Context.add ctx Context.Environment "current-time" (Value.Int 7) ]
 
-let scheme_oracle (name, alg) =
+let scheme_oracle (mode, upstream) (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "packed keys: ladder == reference, keys partition like canonical strings (%s)" name)
+    ~name:
+      (Printf.sprintf "packed keys: ladder == reference, keys partition like canonical strings (%s, %s)"
+         mode name)
     ~count:100 arb_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec alg pspec in
       let ctx = ctx_of_spec cspec in
       let reference = Policy.evaluate ctx policy in
       let root = Policy.Inline_policy policy in
-      List.for_all (check_ladder_stage ~alg:name ~reference) (cached_ladder_evaluate root cspec)
+      List.for_all (check_ladder_stage ~alg:name ~reference)
+        (cached_ladder_evaluate upstream root cspec)
       && keys_partition_canonically ~alg:name ctx)
 
-let delegation_scheme_oracle (name, alg) =
+let delegation_scheme_oracle (mode, upstream) (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "packed keys: delegation ladder == reference, canonical partition (%s)" name)
+    ~name:
+      (Printf.sprintf "packed keys: delegation ladder == reference, canonical partition (%s, %s)"
+         mode name)
     ~count:60 arb_delegation_case
     (fun case ->
       let _, _, cspec = case in
       let ctx = ctx_of_spec cspec in
       let root = delegation_filtered_root alg case in
       let reference = Policy.evaluate_child ctx root in
-      List.for_all (check_ladder_stage ~alg:name ~reference) (cached_ladder_evaluate root cspec)
+      List.for_all (check_ladder_stage ~alg:name ~reference)
+        (cached_ladder_evaluate upstream root cspec)
       && keys_partition_canonically ~alg:name ctx)
 
 (* --- oracle 7: churn corpus (targeted cache invalidation) ---------------- *)
@@ -763,6 +778,13 @@ let empty_rules_cases =
           | None -> Alcotest.failf "[%s] tier never answered" name))
     algorithms
 
+(* Every cached-ladder oracle runs once per upstream, each with its full
+   case count. *)
+let per_upstream oracle =
+  List.concat_map
+    (fun u -> List.map (fun a -> QCheck_alcotest.to_alcotest (oracle u a)) algorithms)
+    upstreams
+
 let () =
   Alcotest.run "dacs_oracle"
     [
@@ -770,17 +792,14 @@ let () =
       ( "compiled-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (compiled_oracle a)) algorithms );
       ("tier-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (tier_oracle a)) algorithms);
-      ( "cached-ladder-differential",
-        List.map (fun a -> QCheck_alcotest.to_alcotest (cached_oracle a)) algorithms );
+      ("cached-ladder-differential", per_upstream cached_oracle);
       ( "delegation-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_tier_oracle a)) algorithms
-        @ List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_cached_oracle a)) algorithms );
+        @ per_upstream delegation_cached_oracle );
       ( "negotiation-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (negotiation_oracle a)) algorithms );
       ( "key-scheme-differential",
-        List.map (fun a -> QCheck_alcotest.to_alcotest (scheme_oracle a)) algorithms
-        @ List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_scheme_oracle a)) algorithms
-      );
+        per_upstream scheme_oracle @ per_upstream delegation_scheme_oracle );
       ( "churn-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (churn_oracle a)) algorithms );
     ]

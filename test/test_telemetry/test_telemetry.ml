@@ -188,6 +188,15 @@ let test_render_no_duplicate_names () =
   check int_ "no duplicate TYPE headers" 2
     (List.length (List.sort_uniq compare type_lines))
 
+(* JSON strings are escaped exactly once: quote, backslash and newline
+   as JSON escapes, UTF-8 bytes passed through untouched. *)
+let test_render_json_escaping () =
+  let m = Metrics.create ~now:(fun () -> 1.5) () in
+  Metrics.inc (Metrics.counter m ~labels:[ ("who", "a\"b\\c\ncaf\xc3\xa9") ] "x_total");
+  check string_ "one escaping pass"
+    {|{"at":1.5,"metrics":[{"name":"x_total","labels":{"who":"a\"b\\c\ncafé"},"type":"counter","value":1}]}|}
+    (Metrics.render_json m)
+
 (* --- reset consistency across the bus (the satellite fix) ------------------- *)
 
 let deny_all_policy =
@@ -429,6 +438,8 @@ let () =
           Alcotest.test_case "exposition has no duplicate headers" `Quick
             test_render_no_duplicate_names;
           Alcotest.test_case "reset is consistent across the bus" `Quick test_reset_consistency;
+          Alcotest.test_case "JSON labels escaped once, UTF-8 kept" `Quick
+            test_render_json_escaping;
         ] );
       ( "loghist",
         [
