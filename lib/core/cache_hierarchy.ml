@@ -56,14 +56,8 @@ module Attr_cache = struct
 
   let find_sym t ~now ~pair ~subject_sym = find_key t ~now (key ~pair ~subject_sym)
 
-  let find t ~now ~category ~id ~subject =
-    find_sym t ~now ~pair:(pair_sym category id) ~subject_sym:(subject_sym subject)
-
   let store_sym t ~now ~pair ~subject_sym bag =
     Hashtbl.replace t.table (key ~pair ~subject_sym) { bag; expires = now +. t.ttl }
-
-  let store t ~now ~category ~id ~subject bag =
-    store_sym t ~now ~pair:(pair_sym category id) ~subject_sym:(subject_sym subject) bag
 
   let invalidate_subject t ~subject ~id =
     let k = key ~pair:(pair_sym Context.Subject id) ~subject_sym:(subject_sym subject) in
@@ -276,14 +270,14 @@ module L2 = struct
     in
     poll ()
 
-  let create services ~node ?metrics ?(max_entries = 4096) ~ttl () =
-    let registry = match metrics with Some m -> m | None -> Service.metrics services in
+  let create services ~node ~ttl () =
+    let registry = Service.metrics services in
     let own ?help name = Metrics.counter registry ?help ~labels:[ ("node", node) ] name in
     let t =
       {
         services;
         node;
-        cache = Decision_cache.create ~metrics:registry ~owner:node ~max_entries ~ttl ();
+        cache = Decision_cache.create ~metrics:registry ~owner:node ~max_entries:4096 ~ttl ();
         children = [];
         epoch = 0;
         parent_epoch = 0;
@@ -352,8 +346,8 @@ module L2 = struct
 
   (* --- client side (what a PEP calls) ---------------------------------- *)
 
-  let remote_lookup services ~src ~l2 ?(timeout = 1.0) ~key k =
-    Service.call services ~src ~dst:l2 ~service:"cache-lookup" ~timeout (Wire.cache_lookup ~key)
+  let remote_lookup services ~src ~l2 ~key k =
+    Service.call services ~src ~dst:l2 ~service:"cache-lookup" (Wire.cache_lookup ~key)
       (fun reply ->
         match reply with
         | Ok body -> (
@@ -370,9 +364,4 @@ module L2 = struct
     Service.call services ~src ~dst:l2 ~service:"cache-put"
       (Wire.cache_put ~sent_at ~key result)
       (fun _ -> ())
-
-  let remote_invalidate services ~src ~l2 ?key ?(k = fun () -> ()) () =
-    Service.call services ~src ~dst:l2 ~service:"cache-invalidate"
-      (Wire.cache_invalidate ~epoch:0 key)
-      (fun _ -> k ())
 end

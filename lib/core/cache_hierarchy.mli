@@ -38,30 +38,12 @@ module Attr_cache : sig
   val subject_sym : string -> int
 
   val find_sym : t -> now:float -> pair:int -> subject_sym:int -> Dacs_policy.Value.bag option
-  (** {!find} with pre-interned ids: one packed-word table probe, no
-      string hashing.  What {!Pdp_service} uses per evaluation. *)
-
-  val store_sym : t -> now:float -> pair:int -> subject_sym:int -> Dacs_policy.Value.bag -> unit
-
-  val find :
-    t ->
-    now:float ->
-    category:Dacs_policy.Context.category ->
-    id:string ->
-    subject:string ->
-    Dacs_policy.Value.bag option
   (** [Some bag] within the TTL (the bag may be empty: negative entries
       suppress refetching attributes no PIP has); [None] on miss or
-      expiry (the expired entry is dropped). *)
+      expiry (the expired entry is dropped).  Keys are pre-interned ids:
+      one packed-word table probe, no string hashing. *)
 
-  val store :
-    t ->
-    now:float ->
-    category:Dacs_policy.Context.category ->
-    id:string ->
-    subject:string ->
-    Dacs_policy.Value.bag ->
-    unit
+  val store_sym : t -> now:float -> pair:int -> subject_sym:int -> Dacs_policy.Value.bag -> unit
 
   val invalidate_subject : t -> subject:string -> id:string -> unit
   (** What a PIP's [attribute-invalidate] push triggers: drop the cached
@@ -112,15 +94,14 @@ module L2 : sig
   val create :
     Dacs_ws.Service.t ->
     node:Dacs_net.Net.node_id ->
-    ?metrics:Dacs_telemetry.Metrics.t ->
-    ?max_entries:int ->
     ttl:float ->
     unit ->
     t
   (** Registers [cache-lookup], [cache-put], [cache-invalidate] and
-      [cache-sync] on [node].  Storage is a {!Decision_cache} (owner =
-      node), so the usual [decision_cache_*{cache}] series apply on top
-      of the [l2_*_total{node}] counters and the
+      [cache-sync] on [node].  Storage is a 4096-entry {!Decision_cache}
+      (owner = node) in the bus registry, so the usual
+      [decision_cache_*{cache}] series apply on top of the
+      [l2_*_total{node}] counters and the
       [l2_invalidation_latency_seconds{node}] histogram. *)
 
   val node : t -> Dacs_net.Net.node_id
@@ -175,12 +156,12 @@ module L2 : sig
     Dacs_ws.Service.t ->
     src:Dacs_net.Net.node_id ->
     l2:Dacs_net.Net.node_id ->
-    ?timeout:float ->
     key:string ->
     (Dacs_policy.Decision.result option -> unit) ->
     unit
-  (** Transport failures and malformed answers are reported as misses:
-      the shared cache can never make a decision path fail. *)
+  (** Transport failures and malformed answers (and no answer within
+      1 s) are reported as misses: the shared cache can never make a
+      decision path fail. *)
 
   val remote_put :
     Dacs_ws.Service.t ->
@@ -190,15 +171,4 @@ module L2 : sig
     Dacs_policy.Decision.result ->
     unit
   (** Fire-and-forget. *)
-
-  val remote_invalidate :
-    Dacs_ws.Service.t ->
-    src:Dacs_net.Net.node_id ->
-    l2:Dacs_net.Net.node_id ->
-    ?key:string ->
-    ?k:(unit -> unit) ->
-    unit ->
-    unit
-  (** Trigger an invalidation round from outside the hierarchy (e.g. a
-      capability authority on revocation); [k] fires on the ack. *)
 end

@@ -6,7 +6,7 @@
     yielding stale (false-positive or false-negative) decisions until the
     TTL lapses.  The experiments measure both sides of that trade.
 
-    Beyond the TTL, an entry may linger for a bounded staleness window
+    Beyond the TTL, an entry may remain for a bounded staleness window
     (see {!lookup}): when every decision point is unreachable, a pull
     PEP may choose degraded availability — serving the last known
     decision — over denying everything, as long as the decision is not

@@ -2,7 +2,6 @@ module Xml = Dacs_xml.Xml
 module Engine = Dacs_net.Engine
 module Service = Dacs_ws.Service
 module Policy = Dacs_policy.Policy
-module Compiled = Dacs_policy.Compiled
 module Decision = Dacs_policy.Decision
 module Context = Dacs_policy.Context
 module Value = Dacs_policy.Value
@@ -17,28 +16,23 @@ type t = {
   c_rejected : Metrics.counter;
   mutable admin_policy : Policy.child option;
   mutable root : Policy.child option;
-  mutable compiled : Compiled.t option;  (* kept in step with [root] *)
   mutable version : int;
   mutable subscribers : Dacs_net.Net.node_id list;
   mutable update_filter : Policy.child -> bool;
   mutable update_transform : Policy.child -> Policy.child;
   mutable last_region : Dacs_policy.Delta.t;
-  mutable on_region : Dacs_policy.Delta.t -> unit;
 }
 
 let node t = t.node
 let name t = t.name
 let version t = t.version
 let current t = t.root
-let compiled t = t.compiled
-let compilation_epoch t = match t.compiled with None -> 0 | Some c -> Compiled.epoch c
 let subscribers t = t.subscribers
 
 let set_admin_policy t p = t.admin_policy <- Some p
 let set_update_filter t f = t.update_filter <- f
 let set_update_transform t f = t.update_transform <- f
 let last_region t = t.last_region
-let on_publish_region t f = t.on_region <- f
 
 let queries_served t = Metrics.counter_value t.c_queries
 let updates_accepted t = Metrics.counter_value t.c_accepted
@@ -71,22 +65,13 @@ let push_to_subscribers t =
 let accept_update t child =
   let before = t.root in
   t.root <- Some child;
-  (* Incremental recompilation: unchanged leaf policies keep their
-     compiled form; the epoch moves only when the tree actually changed,
-     so PDPs can cheaply detect a semantic update. *)
-  t.compiled <-
-    Some
-      (match t.compiled with
-      | None -> Compiled.compile child
-      | Some prev -> Compiled.recompile prev child);
   t.version <- t.version + 1;
   Metrics.inc t.c_accepted;
-  (* Change-impact analysis over the same structural diff recompilation
-     reuses: a no-op publish yields an Empty region (and a preserved
-     compilation epoch), a bounded edit yields the zones the
-     invalidation plane purges instead of flushing VO-wide. *)
+  (* Change-impact analysis over the structural diff of the old and new
+     trees: a no-op publish yields an Empty region, a bounded edit yields
+     the zones the invalidation plane purges instead of flushing
+     VO-wide. *)
   t.last_region <- Dacs_policy.Delta.between before (Some child);
-  t.on_region t.last_region;
   push_to_subscribers t
 
 let publish t child = accept_update t child
@@ -116,13 +101,11 @@ let create services ~node ~name ?admin_policy ?root () =
       c_rejected = own "pap_updates_rejected_total" ~help:"Policy updates rejected";
       admin_policy;
       root;
-      compiled = Option.map Compiled.compile root;
       version = (match root with None -> 0 | Some _ -> 1);
       subscribers = [];
       update_filter = (fun _ -> true);
       update_transform = (fun c -> c);
       last_region = Dacs_policy.Delta.empty;
-      on_region = (fun _ -> ());
     }
   in
   Service.serve services ~node ~service:"policy-query" (fun ~caller:_ ~headers:_ body reply ->

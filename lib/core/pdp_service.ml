@@ -54,7 +54,6 @@ type t = {
   refresh : policy_refresh;
   pips : Dacs_net.Net.node_id list;
   signer : (Dacs_crypto.Rsa.private_key * Dacs_crypto.Cert.t) option;
-  retry : Dacs_net.Rpc.retry_policy option;
   counters : counters;
   service_time : float;
   max_inflight : int option;
@@ -140,7 +139,7 @@ let ensure_policy t k =
     | None -> k ()
     | Some pap ->
       Metrics.inc t.counters.c_pap_fetches;
-      Service.call_resilient t.services ~src:t.node ~dst:pap ?retry:t.retry ~service:"policy-query"
+      Service.call_resilient t.services ~src:t.node ~dst:pap ~service:"policy-query"
         (Wire.policy_query ~scope:"" ~known_version:t.version)
         (fun result ->
           (match result with
@@ -160,10 +159,13 @@ let ensure_policy t k =
 
 (* --- attribute gathering -------------------------------------------------- *)
 
-let store_attr t ~subject (category, id) bag =
+let store_attr t ~subject_sym (category, id) bag =
   match t.attr_cache with
   | None -> ()
-  | Some ac -> Cache_hierarchy.Attr_cache.store ac ~now:(now t) ~category ~id ~subject bag
+  | Some ac ->
+    Cache_hierarchy.Attr_cache.store_sym ac ~now:(now t)
+      ~pair:(Cache_hierarchy.Attr_cache.pair_sym category id)
+      ~subject_sym bag
 
 (* One evaluation pass, recording the designator lookups that found
    nothing.  The attribute cache answers first — including negatively: a
@@ -201,18 +203,18 @@ let evaluate_pass t ~subject_sym ctx attempted =
   (result, List.sort_uniq compare !misses)
 
 (* Batched fetch: every outstanding miss rides one multi-part frame to
-   the PIP — one correlation id, one timeout, one retry/breaker envelope
-   for the whole attribute round (the B/BT envelope of the tier).  Only
+   the PIP — one correlation id, one timeout, one breaker envelope for
+   the whole attribute round (the B/BT envelope of the tier).  Only
    attributes the first PIP answered empty (or a failed frame) move on
    to the next PIP: the first non-empty answer wins. *)
-let fetch_batched t ~subject misses ctx k =
+let fetch_batched t ~subject ~subject_sym misses ctx k =
   let rec go misses ctx pips =
     match (misses, pips) with
     | [], _ -> k ctx
     | misses, [] ->
       (* No PIP holds these: negative-cache the absence so the next
          decision skips the round trip entirely. *)
-      List.iter (fun miss -> store_attr t ~subject miss []) misses;
+      List.iter (fun miss -> store_attr t ~subject_sym miss []) misses;
       k ctx
     | misses, pip :: rest ->
       let handle parts =
@@ -224,7 +226,7 @@ let fetch_batched t ~subject misses ctx k =
                 match Wire.parse_attribute_result body with
                 | Ok [] | Error _ -> (ctx, miss :: unresolved)
                 | Ok bag ->
-                  store_attr t ~subject miss bag;
+                  store_attr t ~subject_sym miss bag;
                   (Context.add_bag ctx category id bag, unresolved))
               | Error _ -> (ctx, miss :: unresolved))
             (ctx, []) misses parts
@@ -242,18 +244,18 @@ let fetch_batched t ~subject misses ctx k =
       | [ single ] ->
         (* A batch of one needs no envelope: it goes as a plain call,
            which is what the wire and the Fig. 3 span tree show. *)
-        Service.call_resilient t.services ~src:t.node ~dst:pip ?retry:t.retry
-          ~service:"attribute-query" single (fun result -> handle [ result ])
+        Service.call_resilient t.services ~src:t.node ~dst:pip ~service:"attribute-query" single
+          (fun result -> handle [ result ])
       | _ ->
-        Service.call_batch_resilient t.services ~src:t.node ~dst:pip ?retry:t.retry
-          ~service:"attribute-query" bodies (fun result ->
+        Service.call_batch_resilient t.services ~src:t.node ~dst:pip ~service:"attribute-query"
+          bodies (fun result ->
             match result with
             | Ok parts -> handle parts
             | Error e -> handle (List.map (fun _ -> Error e) misses)))
   in
   go misses ctx t.pips
 
-let fetch_all t ~subject misses attempted ctx k =
+let fetch_all t ~subject ~subject_sym misses attempted ctx k =
   List.iter (fun miss -> Hashtbl.replace attempted miss ()) misses;
   let started = now t in
   let tag = Trace.exemplar_tag (tracer t) in
@@ -261,7 +263,7 @@ let fetch_all t ~subject misses attempted ctx k =
     Metrics.observe_exemplar t.h_pip_fetch (now t -. started) ~trace:tag ~at:(now t);
     k ctx
   in
-  fetch_batched t ~subject misses ctx k
+  fetch_batched t ~subject ~subject_sym misses ctx k
 
 let evaluate_local t ctx k =
   (* One span per evaluation, covering the PAP refresh and every PIP
@@ -291,7 +293,8 @@ let evaluate_local t ctx k =
           Trace.finish tr span;
           k result
         end
-        else fetch_all t ~subject misses attempted ctx (fun ctx -> loop ctx (rounds + 1))
+        else
+          fetch_all t ~subject ~subject_sym misses attempted ctx (fun ctx -> loop ctx (rounds + 1))
       in
       loop ctx 0);
   Trace.set_current tr saved
@@ -332,9 +335,8 @@ let overloaded t =
 
 let overload_reason = "pdp overloaded"
 
-let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retry
-    ?(service_time = 0.0) ?max_inflight ?attr_cache_ttl ?(compiled = true) ()
-    =
+let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(service_time = 0.0)
+    ?max_inflight ?attr_cache_ttl ?(compiled = true) () =
   if not compiled then invalid_arg "Pdp_service.create: ~compiled:false (only compiled evaluation serves)";
   let refresh =
     match refresh with
@@ -353,7 +355,6 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retr
       refresh;
       pips;
       signer;
-      retry;
       counters = make_counters metrics ~node;
       service_time;
       max_inflight;

@@ -22,7 +22,6 @@ val create :
   ?refresh:policy_refresh ->
   ?pips:Dacs_net.Net.node_id list ->
   ?signer:Dacs_crypto.Rsa.private_key * Dacs_crypto.Cert.t ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
   ?service_time:float ->
   ?max_inflight:int ->
   ?attr_cache_ttl:float ->
@@ -32,14 +31,14 @@ val create :
 (** [refresh] defaults to [Every_query] when a PAP is given, else
     [Never].  With [signer], every decision response is signed and carries
     the PDP's certificate (see {!Wire.signed_authz_response}) so PEPs can
-    authenticate their decision point (§3.2).  [retry] (default: single
-    attempt) hardens the PDP's own upstream calls — PAP policy fetches
-    and PIP attribute queries — with backoff through the RPC resilience
-    layer.  [service_time] (seconds of virtual time, default 0) models
-    evaluation capacity: each query occupies the PDP for that long and
-    queues FIFO behind in-progress work, which is what makes single-PDP
-    saturation — and the sharded tier's speedup — measurable (E16).  0
-    preserves the historical instantaneous behaviour exactly.
+    authenticate their decision point (§3.2).  The PDP's own upstream
+    calls — PAP policy fetches and PIP attribute queries — make a single
+    attempt, through the bus's circuit breaker when one is enabled.
+    [service_time] (seconds of virtual time, default 0) models evaluation
+    capacity: each query occupies the PDP for that long and queues FIFO
+    behind in-progress work, which is what makes single-PDP saturation —
+    and the sharded tier's speedup — measurable (E16).  0 preserves the
+    historical instantaneous behaviour exactly.
 
     [max_inflight] (default: unbounded) caps that FIFO: at most this many
     queries accepted off the wire but not yet answered.  A query arriving

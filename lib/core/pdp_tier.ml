@@ -50,11 +50,8 @@ type t = {
   services : Service.t;
   node : Dacs_net.Net.node_id;
   batch : int;
-  linger : float;
   vnodes : int;
   call_timeout : float;
-  retry : Dacs_net.Rpc.retry_policy option;
-  verify : t -> Xml.t -> (Decision.result, string) result;
   c_batches : Dacs_net.Net.node_id -> Metrics.counter;
   c_dispatch : Dacs_net.Net.node_id -> Metrics.counter;
   c_failovers : Metrics.counter;
@@ -154,13 +151,12 @@ let rec enqueue t shard item =
   Metrics.inc s.sc_dispatch;
   if s.queued >= t.batch then flush t shard
   else if not s.flush_pending then begin
-    (* Even a 0-second linger coalesces: the flush runs after the current
-       event cascade, so every query issued at this virtual instant rides
-       the same frame. *)
+    (* The flush runs after the current event cascade, so every query
+       issued at this virtual instant rides the same frame. *)
     s.flush_pending <- true;
     Engine.schedule
       (Dacs_net.Net.engine (Service.net t.services))
-      ~delay:t.linger
+      ~delay:0.0
       (fun () -> flush t shard)
   end
 
@@ -175,7 +171,7 @@ and flush t shard =
     Metrics.inc s.sc_batches;
     Metrics.observe t.h_batch_size (float_of_int n);
     Service.call_batch_resilient t.services ~src:t.node ~dst:shard ~service:"authz-query"
-      ~timeout:t.call_timeout ?retry:t.retry
+      ~timeout:t.call_timeout
       (List.map (fun i -> i.body) items)
       (fun result ->
         match result with
@@ -187,7 +183,7 @@ and flush t shard =
               in
               match part with
               | Ok body -> (
-                match t.verify t body with
+                match Wire.parse_authz_response body with
                 | Ok decision ->
                   item.deliver (Ok decision) (meta ~epoch:(Wire.authz_response_epoch body))
                 | Error e ->
@@ -231,13 +227,9 @@ let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outco
 
 (* --- construction ------------------------------------------------------- *)
 
-let default_verify _t body = Wire.parse_authz_response body
-
-let create services ~node ~shards:initial ?(batch = 8) ?(linger = 0.0) ?(vnodes = 16)
-    ?(call_timeout = 1.0) ?retry ?verify () =
+let create services ~node ~shards:initial ?(batch = 8) ?(vnodes = 16) ?(call_timeout = 1.0) () =
   if batch < 1 then invalid_arg "Pdp_tier.create: batch must be >= 1";
   if vnodes < 1 then invalid_arg "Pdp_tier.create: vnodes must be >= 1";
-  if linger < 0.0 then invalid_arg "Pdp_tier.create: negative linger";
   let metrics = Service.metrics services in
   let own ?help name = Metrics.counter metrics ?help ~labels:[ ("node", node) ] name in
   let per_shard ?help name shard =
@@ -247,11 +239,8 @@ let create services ~node ~shards:initial ?(batch = 8) ?(linger = 0.0) ?(vnodes 
     services;
     node;
     batch;
-    linger;
     vnodes;
     call_timeout;
-    retry;
-    verify = (match verify with Some f -> fun _t body -> f body | None -> default_verify);
     c_batches =
       per_shard "pdp_tier_batches_total" ~help:"Batched frames flushed to this shard";
     c_dispatch =

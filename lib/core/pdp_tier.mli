@@ -9,14 +9,14 @@
     and losing a replica only remaps the keys that replica owned.
 
     Queries headed for the same shard are coalesced into a single batched
-    RPC frame (up to [batch] queries per round-trip, flushed after
-    [linger] seconds of virtual time; even a 0-second linger merges all
-    queries issued at the same virtual instant).  A batch is one
-    fault/retry unit: a transport failure fails the whole frame, after
-    which each query is individually re-routed to the ring successor of
-    its own key, excluding every shard that already failed it.  When no
-    shard remains the query fails closed with an [Indeterminate]
-    decision.
+    RPC frame (up to [batch] queries per round-trip).  A partial batch
+    waits for no timer: it flushes behind the current event cascade, so
+    it carries exactly the queries issued at the same virtual instant.
+    A batch is one fault unit: a transport failure fails the whole
+    frame, after which each query is individually re-routed to the ring
+    successor of its own key, excluding every shard that already failed
+    it.  When no shard remains the query fails closed with an
+    [Indeterminate] decision.
 
     The tier registers its telemetry in the bus-wide registry:
     [pdp_tier_dispatch_total{node,shard}] and
@@ -32,21 +32,15 @@ val create :
   node:Dacs_net.Net.node_id ->
   shards:Dacs_net.Net.node_id list ->
   ?batch:int ->
-  ?linger:float ->
   ?vnodes:int ->
   ?call_timeout:float ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
-  ?verify:(Dacs_xml.Xml.t -> (Dacs_policy.Decision.result, string) result) ->
   unit ->
   t
 (** Dispatcher issuing calls from [node].  [batch] (default 8) is the
-    maximum queries per frame; [linger] (default 0) how long a partial
-    batch waits before flushing; [vnodes] (default 16) ring points per
-    shard; [call_timeout] (default 1 s) and [retry] are handed to the
-    underlying batched call.  [verify] decodes each per-query response
-    body (default {!Wire.parse_authz_response}; pass a
-    {!Wire.verify_signed_authz_response} wrapper to require signed
-    decisions). *)
+    maximum queries per frame; [vnodes] (default 16) ring points per
+    shard; [call_timeout] (default 1 s) bounds each batched call, which
+    makes a single attempt.  Each per-query response body is decoded with
+    {!Wire.parse_authz_response}. *)
 
 val node : t -> Dacs_net.Net.node_id
 val shards : t -> Dacs_net.Net.node_id list

@@ -25,13 +25,13 @@ type t = {
   log_head : string option;
 }
 
-let make ?shard ?(batch = 0) ?(coalesced = false) ?(failovers = 0) ?(retried = false)
-    ?(breaker_tripped = false) ?(stale_age = 0.0) ?(epoch = 0) ?log_head ~at stage =
+let make ?shard ?(batch = 0) ?(failovers = 0) ?(retried = false) ?(breaker_tripped = false)
+    ?(stale_age = 0.0) ?(epoch = 0) ?log_head ~at stage =
   {
     stage;
     shard;
     batch;
-    coalesced;
+    coalesced = false;
     failovers;
     retried;
     breaker_tripped;

@@ -41,7 +41,6 @@ type t = {
 val make :
   ?shard:string ->
   ?batch:int ->
-  ?coalesced:bool ->
   ?failovers:int ->
   ?retried:bool ->
   ?breaker_tripped:bool ->
@@ -51,6 +50,8 @@ val make :
   at:float ->
   stage ->
   t
+(** A record with [coalesced = false]: only a waiter sets the flag, by
+    record update on the leader's record. *)
 
 val stage_name : stage -> string
 (** ["l1"], ["l2"], ["live"], ["stale"], ["offline"], ["fail-closed"],

@@ -359,7 +359,7 @@ let serve t ~node ~service handler =
    allocation, one client span per attempt, the pending-table entry and
    its timeout timer.  [payload] builds the request frame, given the id
    and the optional trace context to carry. *)
-let issue t ~src ~dst ~service ?(timeout = 1.0) ?category ~span_label ~annotate_span ~payload k =
+let issue t ~src ~dst ~service ?(timeout = 1.0) ~span_label ~annotate_span ~payload k =
   ensure_dispatch t src;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
@@ -396,9 +396,8 @@ let issue t ~src ~dst ~service ?(timeout = 1.0) ?category ~span_label ~annotate_
   in
   Hashtbl.replace t.pending id { k = finish };
   Metrics.set_gauge (inflight_gauge t) (float_of_int (Hashtbl.length t.pending));
-  let category = Option.value category ~default:service in
   let trace = Option.map (fun s -> Trace.context_to_string (Trace.context s)) span in
-  Net.send t.net ~src ~dst ~category (payload id trace);
+  Net.send t.net ~src ~dst ~category:service (payload id trace);
   Engine.schedule (Net.engine t.net) ~delay:timeout (fun () ->
       match Hashtbl.find_opt t.pending id with
       | None -> ()
@@ -406,23 +405,23 @@ let issue t ~src ~dst ~service ?(timeout = 1.0) ?category ~span_label ~annotate_
         Hashtbl.remove t.pending id;
         p.k (Error Timeout))
 
-let call t ~src ~dst ~service ?timeout ?category body k =
+let call t ~src ~dst ~service ?timeout body k =
   Metrics.inc (calls_counter t service);
-  issue t ~src ~dst ~service ?timeout ?category ~span_label:"rpc:" ~annotate_span:ignore
+  issue t ~src ~dst ~service ?timeout ~span_label:"rpc:" ~annotate_span:ignore
     ~payload:(fun id trace ->
       match trace with
       | Some trace -> encode_traced_request id service ~trace body
       | None -> encode_request id service body)
     k
 
-let call_batch t ~src ~dst ~service ?timeout ?category bodies k =
+let call_batch t ~src ~dst ~service ?timeout bodies k =
   let n = List.length bodies in
   if n = 0 then invalid_arg "Rpc.call_batch: empty batch";
   Metrics.inc (calls_counter t service);
   Metrics.inc (batches_counter t service);
   Metrics.inc ~by:n (batch_parts_counter t service);
   Metrics.observe (batch_size_histogram t service) (float_of_int n);
-  issue t ~src ~dst ~service ?timeout ?category ~span_label:"rpc-batch:"
+  issue t ~src ~dst ~service ?timeout ~span_label:"rpc-batch:"
     ~annotate_span:(fun s -> Trace.annotate s "batch" (string_of_int n))
     ~payload:(fun id trace ->
       match trace with
@@ -555,8 +554,8 @@ let backoff_delay t retry failures =
 
 (* The shared retry/breaker envelope: [issue] performs one attempt and
    hands its result to the continuation it is given.  Batched calls reuse
-   the exact same envelope, which is what makes a batch "one fault/retry
-   unit" — the whole frame succeeds or the whole frame backs off. *)
+   the exact same envelope, which is what makes a batch one fault unit —
+   the whole frame succeeds or the whole frame fails. *)
 let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) result -> unit) -> unit)
     (k : (a, error) result -> unit) =
   if retry.attempts < 1 then invalid_arg "Rpc.call_resilient: attempts must be >= 1";
@@ -598,14 +597,13 @@ let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) res
   in
   attempt 1
 
-let call_resilient t ~src ~dst ~service ?timeout ?category ?(retry = no_retry) ?(notify = ignore)
+let call_resilient t ~src ~dst ~service ?timeout ?(retry = no_retry) ?(notify = ignore)
     body k =
   resilient_loop t ~src ~dst ~retry ~notify
-    ~issue:(fun k -> call t ~src ~dst ~service ?timeout ?category body k)
+    ~issue:(fun k -> call t ~src ~dst ~service ?timeout body k)
     k
 
-let call_batch_resilient t ~src ~dst ~service ?timeout ?category ?(retry = no_retry)
-    ?(notify = ignore) bodies k =
-  resilient_loop t ~src ~dst ~retry ~notify
-    ~issue:(fun k -> call_batch t ~src ~dst ~service ?timeout ?category bodies k)
+let call_batch_resilient t ~src ~dst ~service ?timeout bodies k =
+  resilient_loop t ~src ~dst ~retry:no_retry ~notify:ignore
+    ~issue:(fun k -> call_batch t ~src ~dst ~service ?timeout bodies k)
     k

@@ -59,15 +59,13 @@ val call :
   dst:Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?category:string ->
   string ->
   ((string, error) result -> unit) ->
   unit
 (** Asynchronous call.  The continuation fires with [Ok reply], or with
     [Error Timeout] after [timeout] seconds (default 1.0) if no reply
     arrived — whether because of loss, crash, partition or a missing
-    service.  [category] labels traffic for accounting (defaults to
-    [service]). *)
+    service.  Traffic is accounted under [service]. *)
 
 val call_batch :
   t ->
@@ -75,7 +73,6 @@ val call_batch :
   dst:Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?category:string ->
   string list ->
   ((string list, error) result -> unit) ->
   unit
@@ -84,7 +81,7 @@ val call_batch :
     the replies into a single frame, preserving order; the continuation
     receives exactly one reply per query.  The whole batch shares one
     correlation id, one timeout and (under {!call_batch_resilient}) one
-    retry/breaker envelope — partial results are never delivered.
+    breaker envelope — partial results are never delivered.
     Raises [Invalid_argument] on an empty batch. *)
 
 val calls_in_flight : t -> int
@@ -163,7 +160,6 @@ val call_resilient :
   dst:Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?category:string ->
   ?retry:retry_policy ->
   ?notify:(resilience_event -> unit) ->
   string ->
@@ -182,15 +178,12 @@ val call_batch_resilient :
   dst:Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?category:string ->
-  ?retry:retry_policy ->
-  ?notify:(resilience_event -> unit) ->
   string list ->
   ((string list, error) result -> unit) ->
   unit
-(** {!call_batch} wrapped in the same retry/breaker envelope as
-    {!call_resilient}: the batch is one fault unit — a timeout retries
-    the whole frame, and results are all-or-nothing. *)
+(** {!call_batch} routed through the same per-target circuit breaker as
+    {!call_resilient}, with a single attempt: the batch is one fault unit
+    — a timeout fails the whole frame, and results are all-or-nothing. *)
 
 (** {1 Wire format}
 

@@ -53,14 +53,13 @@ let call t ~src ~dst ~service ?timeout ?headers body k =
   let payload = Soap.to_string { Soap.headers = Option.value headers ~default:[]; body } in
   Rpc.call t.rpc ~src ~dst ~service ?timeout payload (decode_response k)
 
-let call_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers body k =
+let call_resilient t ~src ~dst ~service ?timeout ?retry ?headers body k =
   let payload = Soap.to_string { Soap.headers = Option.value headers ~default:[]; body } in
-  Rpc.call_resilient t.rpc ~src ~dst ~service ?timeout ?retry ?notify payload (decode_response k)
+  Rpc.call_resilient t.rpc ~src ~dst ~service ?timeout ?retry payload (decode_response k)
 
-let call_batch_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers bodies k =
-  let headers = Option.value headers ~default:[] in
-  let payloads = List.map (fun body -> Soap.to_string { Soap.headers = headers; body }) bodies in
-  Rpc.call_batch_resilient t.rpc ~src ~dst ~service ?timeout ?retry ?notify payloads
+let call_batch_resilient t ~src ~dst ~service ?timeout bodies k =
+  let payloads = List.map (fun body -> Soap.to_string { Soap.headers = []; body }) bodies in
+  Rpc.call_batch_resilient t.rpc ~src ~dst ~service ?timeout payloads
     (fun result ->
       match result with
       | Error e -> k (Error (Transport e))

@@ -57,7 +57,6 @@ val call_resilient :
   service:string ->
   ?timeout:float ->
   ?retry:Dacs_net.Rpc.retry_policy ->
-  ?notify:(Dacs_net.Rpc.resilience_event -> unit) ->
   ?headers:Dacs_xml.Xml.t list ->
   Dacs_xml.Xml.t ->
   ((Dacs_xml.Xml.t, error) result -> unit) ->
@@ -73,15 +72,12 @@ val call_batch_resilient :
   dst:Dacs_net.Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
-  ?notify:(Dacs_net.Rpc.resilience_event -> unit) ->
-  ?headers:Dacs_xml.Xml.t list ->
   Dacs_xml.Xml.t list ->
   (((Dacs_xml.Xml.t, error) result list, error) result -> unit) ->
   unit
 (** Several request bodies coalesced into one {!Dacs_net.Rpc.call_batch}
-    round-trip with a single retry/breaker envelope.  On transport
+    round-trip with a single breaker envelope and one attempt.  On transport
     success the continuation receives one decoded result per request (a
     part may individually be a [Fault] or [Malformed]); on transport
     failure the whole batch fails with [Error (Transport _)] — there are
-    no partial deliveries.  [headers] apply to every part. *)
+    no partial deliveries.  Parts carry no SOAP headers. *)

@@ -66,8 +66,8 @@ val is_element : t -> bool
 val to_string : t -> string
 (** Compact single-line serialisation. *)
 
-val to_pretty_string : ?indent:int -> t -> string
-(** Indented serialisation for human consumption. *)
+val to_pretty_string : t -> string
+(** Serialisation indented two spaces per level, for human consumption. *)
 
 val canonical : t -> t
 (** Canonical form: attributes sorted by name, whitespace-only text dropped,

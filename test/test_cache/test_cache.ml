@@ -458,10 +458,13 @@ let test_region_targeted_drops () =
   (* Attribute cache: only the pinned position's bags drop. *)
   let m = Dacs_telemetry.Metrics.create () in
   let ac = Cache_hierarchy.Attr_cache.create m ~node:"pdp" ~ttl:60.0 () in
-  Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category:Context.Resource ~id:"resource-id"
-    ~subject:"alice" [ Value.String "lab" ];
-  Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category:Context.Subject ~id:"role" ~subject:"alice"
-    [ Value.String "doctor" ];
+  let alice = Cache_hierarchy.Attr_cache.subject_sym "alice" in
+  Cache_hierarchy.Attr_cache.store_sym ac ~now:0.0
+    ~pair:(Cache_hierarchy.Attr_cache.pair_sym Context.Resource "resource-id")
+    ~subject_sym:alice [ Value.String "lab" ];
+  Cache_hierarchy.Attr_cache.store_sym ac ~now:0.0
+    ~pair:(Cache_hierarchy.Attr_cache.pair_sym Context.Subject "role")
+    ~subject_sym:alice [ Value.String "doctor" ];
   check int_ "the pinned position's bag dropped" 1
     (Cache_hierarchy.Attr_cache.invalidate_region ac lab_region);
   check int_ "the role bag survives" 1 (Cache_hierarchy.Attr_cache.size ac)
@@ -478,7 +481,9 @@ let test_region_unbounded_flush () =
   check int_ "L1 emptied" 0 (Decision_cache.size c);
   let m = Dacs_telemetry.Metrics.create () in
   let ac = Cache_hierarchy.Attr_cache.create m ~node:"pdp" ~ttl:60.0 () in
-  Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category:Context.Subject ~id:"role" ~subject:"alice"
+  Cache_hierarchy.Attr_cache.store_sym ac ~now:0.0
+    ~pair:(Cache_hierarchy.Attr_cache.pair_sym Context.Subject "role")
+    ~subject_sym:(Cache_hierarchy.Attr_cache.subject_sym "alice")
     [ Value.String "doctor" ];
   check int_ "attribute cache flushed too" 1
     (Cache_hierarchy.Attr_cache.invalidate_region ac Delta.unbounded);

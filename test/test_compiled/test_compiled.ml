@@ -76,8 +76,7 @@ let test_recompile_on_publish () =
   Alcotest.(check bool) "first fetch compiled" true (epoch_before >= 1);
   Pap.publish pap (deny_policy "a");
   check_result "after publish" Decision.deny (decide ());
-  Alcotest.(check bool) "pdp epoch bumped" true (Pdp_service.compilation_epoch pdp > epoch_before);
-  Alcotest.(check int) "pap epoch" 2 (Pap.compilation_epoch pap)
+  Alcotest.(check bool) "pdp epoch bumped" true (Pdp_service.compilation_epoch pdp > epoch_before)
 
 (* Compiled evaluation is the only serving path: the epoch reads 0 only
    while no policy is installed, and asking for the interpreter is an
@@ -97,26 +96,29 @@ let test_pdp_always_compiled () =
     (Invalid_argument "Pdp_service.create: ~compiled:false (only compiled evaluation serves)")
     (fun () -> ignore (Pdp_service.create services ~node:"pdp2" ~name:"pdp2" ~compiled:false ()))
 
-(* Epochs count *semantic* changes: a no-op publish bumps the version
-   (it is still an administrative action) but leaves the compiled epoch
-   alone, so downstream consumers can use the epoch as a cheap "did the
-   tree really change" signal. *)
+(* Epochs count *semantic* changes: a no-op install leaves the compiled
+   epoch alone, so downstream consumers can use the epoch as a cheap
+   "did the tree really change" signal.  A no-op PAP publish still bumps
+   the policy version: it is an administrative action. *)
 let test_epoch_monotonic () =
   let net = Net.create ~seed:5L () in
   let services = Service.create (Dacs_net.Rpc.create net) in
   Net.add_node net "pap";
+  Net.add_node net "pdp";
+  let pdp = Pdp_service.create services ~node:"pdp" ~name:"pdp" ~root:(permit_policy "a") () in
+  Alcotest.(check int) "initial epoch" 1 (Pdp_service.compilation_epoch pdp);
+  Pdp_service.install_policy pdp (permit_policy "a");
+  Alcotest.(check int) "no-op install preserves epoch" 1 (Pdp_service.compilation_epoch pdp);
+  Pdp_service.install_policy pdp (deny_policy "a");
+  Alcotest.(check int) "change bumps epoch" 2 (Pdp_service.compilation_epoch pdp);
+  Pdp_service.install_policy pdp (deny_policy "a");
+  Alcotest.(check int) "repeat install preserves epoch" 2 (Pdp_service.compilation_epoch pdp);
+  Pdp_service.install_policy pdp (permit_policy "a");
+  Alcotest.(check int) "revert bumps epoch again" 3 (Pdp_service.compilation_epoch pdp);
   let pap = Pap.create services ~node:"pap" ~name:"pap" ~root:(permit_policy "a") () in
-  Alcotest.(check int) "initial epoch" 1 (Pap.compilation_epoch pap);
   let v0 = Pap.version pap in
   Pap.publish pap (permit_policy "a");
-  Alcotest.(check int) "no-op publish preserves epoch" 1 (Pap.compilation_epoch pap);
-  Alcotest.(check bool) "no-op publish still bumps version" true (Pap.version pap > v0);
-  Pap.publish pap (deny_policy "a");
-  Alcotest.(check int) "change bumps epoch" 2 (Pap.compilation_epoch pap);
-  Pap.publish pap (deny_policy "a");
-  Alcotest.(check int) "repeat publish preserves epoch" 2 (Pap.compilation_epoch pap);
-  Pap.publish pap (permit_policy "a");
-  Alcotest.(check int) "revert bumps epoch again" 3 (Pap.compilation_epoch pap)
+  Alcotest.(check bool) "no-op publish still bumps version" true (Pap.version pap > v0)
 
 (* --- obligation order through mixed dispatch buckets -------------------- *)
 

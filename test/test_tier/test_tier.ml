@@ -156,7 +156,16 @@ let test_batching () =
   check int_ "ten queries dispatched" 10 s.Pdp_tier.dispatched;
   check int_ "coalesced into ceil(10/4) frames" 3 s.Pdp_tier.batches;
   check bool_ "batched frames on the wire" true
-    (Metrics.sum_counter (Service.metrics fx.services) "rpc_batches_total" >= 3)
+    (Metrics.sum_counter (Service.metrics fx.services) "rpc_batches_total" >= 3);
+  (* A partial batch flushes behind its own instant: two queries at t and
+     one at t + 1 ms ride two frames, not one. *)
+  let engine = Net.engine fx.net in
+  let decide_at at = Engine.schedule_at engine ~at (fun () -> Pdp_tier.decide fx.tier ctx ignore) in
+  decide_at 10.0;
+  decide_at 10.0;
+  decide_at 10.001;
+  Net.run fx.net;
+  check int_ "a later instant opens a new frame" 5 (Pdp_tier.stats fx.tier).Pdp_tier.batches
 
 (* --- failover ----------------------------------------------------------------- *)
 
