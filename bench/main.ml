@@ -540,54 +540,76 @@ let e7_conflicts () =
   let actions = [ "read"; "write" ] in
   Printf.printf "%8s %8s %10s %12s %16s %10s\n" "domains" "rules" "conflicts" "cross-auth"
     "deny-resolved" "time(ms)";
-  List.iter
-    (fun n_domains ->
-      let rng = Rng.create (Int64.of_int (100 + n_domains)) in
-      let policies =
-        List.init n_domains (fun d ->
-            let rules =
-              List.init 20 (fun i ->
-                  let mk = if Rng.bool rng then Rule.permit else Rule.deny in
-                  mk
-                    ~target:
-                      Target.(
-                        any
-                        |> subject_is "role" (Rng.pick rng roles)
-                        |> resource_is "resource-id" (Rng.pick rng resources)
-                        |> action_is "action-id" (Rng.pick rng actions))
-                    (Printf.sprintf "d%d-r%d" d i))
-            in
-            Policy.Inline_policy
-              (Policy.make
-                 ~id:(Printf.sprintf "domain%d" d)
-                 ~issuer:(Printf.sprintf "domain%d" d)
-                 rules))
-      in
-      let set = Policy.make_set ~id:"vo" policies in
-      let t0 = Sys.time () in
-      let conflicts = Conflict.find_in_set set in
-      let elapsed = (Sys.time () -. t0) *. 1000.0 in
-      let cross = List.filter (fun c -> c.Conflict.cross_authority) conflicts in
-      let deny_resolved =
-        List.filter
-          (fun c -> Conflict.resolution Combine.Deny_overrides c = Decision.Deny)
-          conflicts
-      in
-      Printf.printf "%8d %8d %10d %12d %16d %10.2f\n" n_domains (20 * n_domains)
-        (List.length conflicts) (List.length cross) (List.length deny_resolved) elapsed)
-    [ 1; 2; 4; 8 ];
+  let counts =
+    List.map
+      (fun n_domains ->
+        let rng = Rng.create (Int64.of_int (100 + n_domains)) in
+        let policies =
+          List.init n_domains (fun d ->
+              let rules =
+                List.init 20 (fun i ->
+                    let mk = if Rng.bool rng then Rule.permit else Rule.deny in
+                    mk
+                      ~target:
+                        Target.(
+                          any
+                          |> subject_is "role" (Rng.pick rng roles)
+                          |> resource_is "resource-id" (Rng.pick rng resources)
+                          |> action_is "action-id" (Rng.pick rng actions))
+                      (Printf.sprintf "d%d-r%d" d i))
+              in
+              Policy.Inline_policy
+                (Policy.make
+                   ~id:(Printf.sprintf "domain%d" d)
+                   ~issuer:(Printf.sprintf "domain%d" d)
+                   rules))
+        in
+        let set = Policy.make_set ~id:"vo" policies in
+        let t0 = Sys.time () in
+        let conflicts = Conflict.find_in_set set in
+        let elapsed = (Sys.time () -. t0) *. 1000.0 in
+        let cross = List.filter (fun c -> c.Conflict.cross_authority) conflicts in
+        let deny_resolved =
+          List.filter
+            (fun c -> Conflict.resolution Combine.Deny_overrides c = Decision.Deny)
+            conflicts
+        in
+        Printf.printf "%8d %8d %10d %12d %16d %10.2f\n" n_domains (20 * n_domains)
+          (List.length conflicts) (List.length cross) (List.length deny_resolved) elapsed;
+        List.length conflicts)
+      [ 1; 2; 4; 8 ]
+  in
   (* Resolution semantics on one canonical conflict. *)
   let pa = Policy.make ~id:"pa" ~issuer:"a" [ Rule.permit ~target:(Target.for_resource "x") "p" ] in
   let pb = Policy.make ~id:"pb" ~issuer:"b" [ Rule.deny ~target:(Target.for_resource "x") "d" ] in
-  match Conflict.find_between pa pb with
-  | c :: _ ->
-    Printf.printf "\nresolution of a permit/deny conflict on resource x:\n";
-    List.iter
-      (fun a ->
-        Printf.printf "  %-26s -> %s\n" (Combine.name a)
-          (Decision.decision_to_string (Conflict.resolution a c)))
-      Combine.all
-  | [] -> print_endline "unexpected: no conflict found"
+  let table =
+    match Conflict.find_between pa pb with
+    | c :: _ ->
+      Printf.printf "\nresolution of a permit/deny conflict on resource x:\n";
+      List.map
+        (fun a ->
+          let d = Decision.decision_to_string (Conflict.resolution a c) in
+          Printf.printf "  %-26s -> %s\n" (Combine.name a) d;
+          d)
+        Combine.all
+    | [] ->
+      print_endline "unexpected: no conflict found";
+      []
+  in
+  (* The generated corpora are seeded, so the counts are exact; a change
+     in either line means the analysis itself changed. *)
+  let g = gate "E7" in
+  print_newline ();
+  let show xs = String.concat "/" xs in
+  let expected_counts = [ 5; 18; 74; 276 ] in
+  Gate.check g "conflict-counts" (counts = expected_counts)
+    (Printf.sprintf "%s at 1/2/4/8 domains (expected %s)"
+       (show (List.map string_of_int counts))
+       (show (List.map string_of_int expected_counts)));
+  (* In Combine.all order: the overrides algorithms pick their namesake,
+     first-applicable follows document order, only-one-applicable errs. *)
+  let expected_table = [ "Deny"; "Permit"; "Permit"; "Indeterminate"; "Deny"; "Permit" ] in
+  Gate.check g "resolution-table" (table = expected_table) (show table)
 
 (* ==================================================================== *)
 (* E8 — dependability: availability under PDP crash faults              *)

@@ -2,6 +2,7 @@ module Policy = Dacs_policy.Policy
 module Rule = Dacs_policy.Rule
 module Target = Dacs_policy.Target
 module Value = Dacs_policy.Value
+module Context = Dacs_policy.Context
 module Combine = Dacs_policy.Combine
 module Decision = Dacs_policy.Decision
 
@@ -21,36 +22,40 @@ type conflict = {
   witness : string;
 }
 
-(* A clause's constraint on one section: attribute -> required value.
-   Under the single-valued-attribute assumption a clause demanding two
-   values for one attribute is unsatisfiable. *)
-type clause_constraint = (string * string) list option
+(* A clause's constraint on one section: (category, attribute, required
+   value) bindings.  Only an equality on its own type binds a value;
+   under the single-valued-attribute assumption a clause demanding two
+   values at one position is unsatisfiable. *)
+type clause_constraint = (Context.category * string * string) list option
 (* None = unsatisfiable clause; Some bindings otherwise *)
+
+let rec bound category attr = function
+  | [] -> None
+  | (c, a, v) :: rest ->
+    if c = category && String.equal a attr then Some v else bound category attr rest
 
 let clause_constraint clause : clause_constraint =
   let rec go acc = function
     | [] -> Some acc
     | m :: rest -> (
-      match m.Target.value with
-      | Value.String v | Value.Uri v -> (
-        match List.assoc_opt m.Target.attribute_id acc with
-        | Some v' when v' <> v -> None
+      match (m.Target.fn, m.Target.value) with
+      | "string-equal", Value.String v | "anyURI-equal", Value.Uri v -> (
+        match bound m.Target.category m.Target.attribute_id acc with
+        | Some v' when not (String.equal v' v) -> None
         | Some _ -> go acc rest
-        | None -> go ((m.Target.attribute_id, v) :: acc) rest)
-      (* Non-string matches (ranges etc.) are conservatively treated as
-         always satisfiable alongside anything. *)
-      | Value.Int _ | Value.Bool _ | Value.Double _ | Value.Time _ -> go acc rest)
+        | None -> go ((m.Target.category, m.Target.attribute_id, v) :: acc) rest)
+      (* Every other match (patterns, ranges, other types) is
+         conservatively treated as satisfiable alongside anything. *)
+      | _ -> go acc rest)
   in
   go [] clause
 
 (* Two clause constraints are compatible when they do not demand
-   different values for the same attribute. *)
-let compatible (a : (string * string) list) (b : (string * string) list) =
+   different values for the same position. *)
+let compatible a b =
   List.for_all
-    (fun (attr, v) ->
-      match List.assoc_opt attr b with
-      | Some v' -> v = v'
-      | None -> true)
+    (fun (category, attr, v) ->
+      match bound category attr b with Some v' -> String.equal v v' | None -> true)
     a
 
 (* Section overlap: empty section = matches anything. *)
@@ -95,7 +100,7 @@ let witness_for (p, r) =
         List.filter_map
           (fun m ->
             match clause_constraint [ m ] with
-            | Some [ (attr, v) ] -> Some (Printf.sprintf "%s %s=%s" name attr v)
+            | Some [ (_, attr, v) ] -> Some (Printf.sprintf "%s %s=%s" name attr v)
             | _ -> None)
           clause
     in

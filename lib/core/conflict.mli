@@ -3,9 +3,14 @@
     Enumerates modality conflicts: pairs of rules with opposite effects
     whose applicability constraints can be satisfied by one and the same
     access request.  The analysis is the pre-deployment check the paper
-    describes — it assumes single-valued subject attributes (a clause
-    requiring two different values for one attribute is treated as
-    unsatisfiable), which matches identity/role-style targets. *)
+    describes — it assumes single-valued attributes (a clause requiring
+    two different values at one (category, attribute) position is
+    treated as unsatisfiable), which matches identity/role-style
+    targets.  Only an equality on its own type ([string-equal] on a
+    string, [anyURI-equal] on a URI) binds a value; every other match
+    (patterns, ranges) is conservatively taken as satisfiable, so under
+    that assumption the analysis may report a conflict no request
+    realises but never misses one. *)
 
 type rule_ref = {
   policy_id : string;

@@ -4,16 +4,6 @@ type entry = { result : Dacs_policy.Decision.result; expires : float; stamp : in
 
 type stats = { hits : int; misses : int; expiries : int; evictions : int; stale_hits : int }
 
-(* Optional mirror of the stats into a shared registry, one series set per
-   cache (labelled by owner). *)
-type mirror = {
-  m_hits : Metrics.counter;
-  m_misses : Metrics.counter;
-  m_expiries : Metrics.counter;
-  m_evictions : Metrics.counter;
-  m_stale_hits : Metrics.counter;
-}
-
 type t = {
   ttl : float;
   max_entries : int;
@@ -21,26 +11,20 @@ type t = {
   (* Insertion order as (key, stamp) pairs; re-inserting a key leaves its
      older pairs behind as tombstones, skipped at eviction time. *)
   order : (string * int) Queue.t;
-  mirror : mirror option;
   mutable next_stamp : int;
-  mutable stats : stats;
+  (* The one tally of each statistic: a series in the caller's registry
+     (labelled by owner) or in a private one. *)
+  c_hits : Metrics.counter;
+  c_misses : Metrics.counter;
+  c_expiries : Metrics.counter;
+  c_evictions : Metrics.counter;
+  c_stale_hits : Metrics.counter;
 }
 
 let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
   if ttl < 0.0 then invalid_arg "Decision_cache.create: negative ttl";
-  let mirror =
-    Option.map
-      (fun m ->
-        let c ?help n = Metrics.counter m ?help ~labels:[ ("cache", owner) ] n in
-        {
-          m_hits = c "decision_cache_hits_total" ~help:"Fresh cache hits";
-          m_misses = c "decision_cache_misses_total" ~help:"Cache misses";
-          m_expiries = c "decision_cache_expiries_total" ~help:"Entries dropped past staleness";
-          m_evictions = c "decision_cache_evictions_total" ~help:"Capacity evictions";
-          m_stale_hits = c "decision_cache_stale_hits_total" ~help:"Lookups answered stale";
-        })
-      metrics
-  in
+  let registry = match metrics with Some m -> m | None -> Metrics.create () in
+  let c ?help n = Metrics.counter registry ?help ~labels:[ ("cache", owner) ] n in
   {
     ttl;
     max_entries;
@@ -48,12 +32,13 @@ let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
        rehashes; capped so absurd limits don't allocate absurd tables. *)
     table = Hashtbl.create (max 64 (min max_entries (1 lsl 18)));
     order = Queue.create ();
-    mirror;
     next_stamp = 0;
-    stats = { hits = 0; misses = 0; expiries = 0; evictions = 0; stale_hits = 0 };
+    c_hits = c "decision_cache_hits_total" ~help:"Fresh cache hits";
+    c_misses = c "decision_cache_misses_total" ~help:"Cache misses";
+    c_expiries = c "decision_cache_expiries_total" ~help:"Entries dropped past staleness";
+    c_evictions = c "decision_cache_evictions_total" ~help:"Capacity evictions";
+    c_stale_hits = c "decision_cache_stale_hits_total" ~help:"Lookups answered stale";
   }
-
-let bump t sel = match t.mirror with None -> () | Some m -> Metrics.inc (sel m)
 
 let ttl t = t.ttl
 
@@ -65,13 +50,11 @@ type lookup =
 let lookup t ~now ~max_stale ~key =
   match Hashtbl.find_opt t.table key with
   | None ->
-    t.stats <- { t.stats with misses = t.stats.misses + 1 };
-    bump t (fun m -> m.m_misses);
+    Metrics.inc t.c_misses;
     Absent
   | Some e ->
     if now < e.expires then begin
-      t.stats <- { t.stats with hits = t.stats.hits + 1 };
-      bump t (fun m -> m.m_hits);
+      Metrics.inc t.c_hits;
       Fresh e.result
     end
     else begin
@@ -79,16 +62,14 @@ let lookup t ~now ~max_stale ~key =
       if age <= max_stale then begin
         (* Kept for possible degraded serving; still a miss for the
            caller's fresh-path accounting. *)
-        t.stats <- { t.stats with misses = t.stats.misses + 1; stale_hits = t.stats.stale_hits + 1 };
-        bump t (fun m -> m.m_misses);
-        bump t (fun m -> m.m_stale_hits);
+        Metrics.inc t.c_misses;
+        Metrics.inc t.c_stale_hits;
         Stale { result = e.result; age }
       end
       else begin
         Hashtbl.remove t.table key;
-        t.stats <- { t.stats with expiries = t.stats.expiries + 1; misses = t.stats.misses + 1 };
-        bump t (fun m -> m.m_expiries);
-        bump t (fun m -> m.m_misses);
+        Metrics.inc t.c_expiries;
+        Metrics.inc t.c_misses;
         Absent
       end
     end
@@ -109,8 +90,7 @@ let evict_one t =
       match Hashtbl.find_opt t.table key with
       | Some e when e.stamp = stamp ->
         Hashtbl.remove t.table key;
-        t.stats <- { t.stats with evictions = t.stats.evictions + 1 };
-        bump t (fun m -> m.m_evictions)
+        Metrics.inc t.c_evictions
       | Some _ | None -> go ())
   in
   go ()
@@ -168,6 +148,14 @@ let size t = Hashtbl.length t.table
 
 let key_bytes t = Hashtbl.fold (fun key _ acc -> acc + String.length key) t.table 0
 
-let stats t = t.stats
+let stats t =
+  let v = Metrics.counter_value in
+  {
+    hits = v t.c_hits;
+    misses = v t.c_misses;
+    expiries = v t.c_expiries;
+    evictions = v t.c_evictions;
+    stale_hits = v t.c_stale_hits;
+  }
 
 let request_key ctx = Intern.request_key ctx

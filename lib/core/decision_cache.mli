@@ -17,9 +17,11 @@ type t
 val create :
   ?metrics:Dacs_telemetry.Metrics.t -> ?owner:string -> ?max_entries:int -> ttl:float -> unit -> t
 (** [max_entries] defaults to 1024; insertion past the limit evicts the
-    entry whose latest insertion is oldest.  With [metrics], every stat
-    is mirrored into [decision_cache_*_total{cache=owner}] series
-    ([owner] defaults to ["default"]) in the given registry. *)
+    entry whose latest insertion is oldest.  Each statistic is counted
+    once, in a [decision_cache_*_total{cache=owner}] series ([owner]
+    defaults to ["default"]) of [metrics], or of a private registry
+    without it.  Two caches given one registry must have different
+    owners: equal owners name the same series. *)
 
 val ttl : t -> float
 
@@ -75,6 +77,7 @@ type stats = {
 }
 
 val stats : t -> stats
+(** A read of the cache's five counters. *)
 
 val request_key : Dacs_policy.Context.t -> string
 (** Canonical cache key over the subject, resource and action attribute

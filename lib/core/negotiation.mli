@@ -35,9 +35,12 @@ type outcome = {
   disclosed_by_server : string list;
 }
 
-val negotiate : ?max_rounds:int -> client:party -> server:party -> target:requirement -> unit -> outcome
-(** The client starts.  [max_rounds] (default 20) bounds pathological
-    policies. *)
+val max_rounds : int
+(** Rounds before a stalled exchange gives up (20): the bound on
+    pathological policies. *)
+
+val negotiate : client:party -> server:party -> target:requirement -> unit -> outcome
+(** The client starts and runs at most {!max_rounds} rounds. *)
 
 val satisfied : requirement -> string list -> bool
 (** Is the requirement met by the given disclosed-credential names? *)

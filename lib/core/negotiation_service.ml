@@ -120,8 +120,7 @@ type outcome = {
   messages : int;
 }
 
-let negotiate t ~services ~client_node ~credentials ~subject ~resource ~action
-    ?(max_rounds = 20) k =
+let negotiate t ~services ~client_node ~credentials ~subject ~resource ~action k =
   let subject_name =
     match List.assoc_opt "subject-id" subject with
     | Some v -> Value.to_string v
@@ -159,7 +158,7 @@ let negotiate t ~services ~client_node ~credentials ~subject ~resource ~action
             let fresh = credential_names reply_body in
             let progressed = unlocked <> [] || fresh <> [] in
             seen_from_server := fresh @ !seen_from_server;
-            if (not progressed) || n >= max_rounds then
+            if (not progressed) || n >= Negotiation.max_rounds then
               k { granted = None; rounds = n; messages }
             else round (n + 1) messages
           | _ -> k { granted = None; rounds = n; messages }))

@@ -85,7 +85,6 @@ type t = {
   key : string;
   t_author : string;
   now : unit -> float;
-  audit : Audit.t option;
   counters : counters;
   logs : (string, event list ref) Hashtbl.t;  (* per author, newest first *)
   heads : (string, string) Hashtbl.t;  (* per author chain head *)
@@ -104,7 +103,7 @@ type t = {
   mutable n_decides : int;
 }
 
-let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
+let create ?metrics ?(now = fun () -> 0.0) ~key ~author () =
   let counters =
     match metrics with
     | None ->
@@ -140,7 +139,6 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
     key;
     t_author = author;
     now;
-    audit;
     counters;
     logs = Hashtbl.create 7;
     heads = Hashtbl.create 7;
@@ -407,24 +405,11 @@ let replay t =
       defeated
   in
   List.iter
-    (fun (id, c) ->
+    (fun (id, _) ->
       if not (List.mem id t.known_conflicts) then begin
         t.known_conflicts <- id :: t.known_conflicts;
         t.n_conflicts <- t.n_conflicts + 1;
-        Option.iter Metrics.inc t.counters.c_conflicts;
-        Option.iter
-          (fun audit ->
-            Audit.record audit
-              {
-                Audit.at = t.now ();
-                domain = t.t_author;
-                subject = c.c_subject;
-                resource = c.c_attr;
-                action = "offline-conflict";
-                decision = Decision.Deny;
-                provenance = None;
-              })
-          t.audit
+        Option.iter Metrics.inc t.counters.c_conflicts
       end)
     s_conflicts;
   let state =
@@ -447,23 +432,7 @@ let replay t =
             t.fired <- (ev.author, ev.seq) :: t.fired;
             t.n_invalidations <- t.n_invalidations + 1;
             Option.iter Metrics.inc t.counters.c_invalidations;
-            List.iter (fun hook -> hook key) t.hooks;
-            Option.iter
-              (fun audit ->
-                Audit.record audit
-                  {
-                    Audit.at = t.now ();
-                    domain = t.t_author;
-                    subject = "";
-                    resource = key;
-                    action = "offline-invalidate";
-                    decision =
-                      (match converged with
-                      | Some r -> r.Decision.decision
-                      | None -> Decision.Indeterminate "unreplayable");
-                    provenance = None;
-                  })
-              t.audit
+            List.iter (fun hook -> hook key) t.hooks
           end
         end
       | _ -> ())

@@ -27,11 +27,12 @@
     [(author, seq)].  A revocation therefore retroactively defeats any
     grant made concurrently (in another partition component): deny wins
     whenever neither side knew of the other, and each such race is
-    surfaced as a conflict record on the audit log.  Among surviving
+    surfaced as a conflict record ({!conflicts}, [stats.conflicts] and
+    the [offline_conflicts_total] metric).  Among surviving
     grants of one key, the latest in total order supplies the value; the
     latest publication in total order supplies the policy.  Offline
     [Decide] events contradicted by the converged state trigger the
-    {!on_invalidate} hook (cache purge) and an audit record. *)
+    {!on_invalidate} hook (cache purge). *)
 
 type kind =
   | Grant of { subject : string; attr : string; value : string }
@@ -89,16 +90,13 @@ type t
 
 val create :
   ?metrics:Dacs_telemetry.Metrics.t ->
-  ?audit:Audit.t ->
   ?now:(unit -> float) ->
   key:string ->
   author:string ->
   unit ->
   t
 (** [key] is the mesh-wide HMAC key (shared by every replica that may
-    sync); [author] names this replica's chain — use the domain name.
-    [audit], when given, receives conflict and retroactive-invalidation
-    records. *)
+    sync); [author] names this replica's chain — use the domain name. *)
 
 val author : t -> string
 

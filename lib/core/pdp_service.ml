@@ -101,19 +101,6 @@ let stats t =
     overloads = v c.c_overloads;
   }
 
-let reset_stats t =
-  let c = t.counters in
-  List.iter Metrics.reset_counter
-    [
-      c.c_queries;
-      c.c_permits;
-      c.c_denies;
-      c.c_pip_fetches;
-      c.c_pap_fetches;
-      c.c_pap_refresh_hits;
-      c.c_overloads;
-    ]
-
 (* Resolve a policy reference against the locally cached tree: a direct
    child of the cached root set. *)
 let local_ref_resolver t id =

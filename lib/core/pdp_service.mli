@@ -100,5 +100,3 @@ val stats : t -> stats
 (** A thin read over the bus-wide metrics registry's [pdp_*_total{node}]
     counters. *)
 
-val reset_stats : t -> unit
-(** Zeros this PDP's series in the shared registry. *)

@@ -42,7 +42,11 @@ let miller_rabin_witness n witness =
     squares x 0
   end
 
-let is_probably_prime ?(rounds = 20) rng n =
+(* Miller–Rabin witnesses per test: composites pass with probability at
+   most 4^-rounds. *)
+let rounds = 20
+
+let is_probably_prime rng n =
   match Bignum.to_int_opt n with
   | Some v when v < 1000 -> List.mem v small_primes
   | _ ->

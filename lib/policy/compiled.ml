@@ -6,22 +6,12 @@
    order, so the combining algorithm sees exactly the interpreter's rule
    sequence minus rules whose targets provably cannot match.
 
-   Pruning is attempted on an axis only when the request's bag for that
-   attribute is non-empty and all-string: [string-equal] errors on any
-   other value type, so a pinned rule could then be Indeterminate rather
-   than NotApplicable and must not be skipped.
-
-   Target sections evaluate in order (subjects, resources, actions,
-   environments) and an error in an earlier section short-circuits the
-   whole target to Indeterminate — before the pinned section's mismatch
-   is ever seen.  A rule is therefore indexable on an axis only when
-   every match in the sections evaluated before that axis is a
-   [string-equal] on a string literal (the only shape that cannot error
-   against an all-string bag), and those matches' attributes are
-   recorded as the leaf's guard set for the axis: dispatch prunes only
-   when every guard attribute's request bag is also non-empty and
-   all-string (emptiness would hand the match to the resolver, whose
-   answer we cannot see here).
+   A rule is indexed on an axis by its {!Target.pin} there, and a
+   leaf's guard set for the axis is the union of its indexed rules' pin
+   guards.  Dispatch prunes on an axis only when the request's bag there
+   is clean ({!Target.clean_ids}) and so are the guard positions
+   ({!Target.guards_clean}): exactly when {!Target.excludes} would hold
+   for every pin the request's values miss.
 
    Rule conditions have policy variables substituted at compile time;
    an unresolvable variable is remembered as a per-rule error that
@@ -58,77 +48,6 @@ type t = { root : Policy.child; node : node; epoch : int; reused : int }
 
 (* --- leaf compilation --------------------------------------------------- *)
 
-(* The axis values a clause accepts when it pins [attr] by string
-   equality; None when the clause leaves the attribute free. *)
-let clause_axis_values attr clause =
-  let values =
-    List.filter_map
-      (fun m ->
-        if m.Target.attribute_id = attr && m.Target.fn = "string-equal" then
-          match m.Target.value with
-          | Value.String s -> Some s
-          | _ -> None
-        else None)
-      clause
-  in
-  match values with [] -> None | vs -> Some vs
-
-(* All values of [attr] a rule's [section] can apply to, or None when
-   unconstrained (some clause leaves the attribute free, or the section
-   is empty and so matches everything). *)
-let section_axis_values attr section =
-  match section with
-  | [] -> None
-  | clauses ->
-    let per_clause = List.map (clause_axis_values attr) clauses in
-    if List.exists (fun v -> v = None) per_clause then None
-    else
-      Some
-        (List.sort_uniq compare
-           (List.concat_map (fun v -> Option.value v ~default:[]) per_clause))
-
-(* A match that cannot evaluate to an error against a non-empty
-   all-string bag: string equality between string operands always
-   answers true or false. *)
-let guardable_match m =
-  m.Target.fn = "string-equal"
-  && (match m.Target.value with Value.String _ -> true | _ -> false)
-
-(* The (category, attribute) pairs a section's matches read, or None
-   when some match could error in a way a bag-shape check at dispatch
-   time cannot rule out. *)
-let section_guards section =
-  if List.for_all (List.for_all guardable_match) section then
-    Some
-      (List.concat_map
-         (List.map (fun m -> (m.Target.category, m.Target.attribute_id)))
-         section)
-  else None
-
-(* Axis pins are usable only when the sections the interpreter evaluates
-   *before* the pinned one provably cannot short-circuit to
-   Indeterminate: subjects come before resources, and subjects and
-   resources both come before actions.  Eligible rules contribute their
-   earlier sections' attributes to the leaf's guard set. *)
-let rule_resource_values (rule : Rule.t) =
-  match section_axis_values "resource-id" rule.Rule.target.Target.resources with
-  | None -> None
-  | Some rs -> (
-    match section_guards rule.Rule.target.Target.subjects with
-    | None -> None
-    | Some guards -> Some (rs, guards))
-
-let rule_action_values (rule : Rule.t) =
-  match section_axis_values "action-id" rule.Rule.target.Target.actions with
-  | None -> None
-  | Some as_ -> (
-    match
-      ( section_guards rule.Rule.target.Target.subjects,
-        section_guards rule.Rule.target.Target.resources )
-    with
-    | Some g1, Some g2 -> Some (as_, g1 @ g2)
-    | _ -> None)
-
 let tbl_add tbl key pos =
   let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
   Hashtbl.replace tbl key (pos :: prev)
@@ -157,24 +76,26 @@ let compile_leaf policy =
   let act_guards = ref [] in
   List.iteri
     (fun pos rule ->
-      let rvals = rule_resource_values rule in
-      let avals = rule_action_values rule in
-      (match rvals with
+      let rpin = Target.pin rule.Rule.target Context.Resource "resource-id" in
+      let apin = Target.pin rule.Rule.target Context.Action "action-id" in
+      (match rpin with
       | None -> res_free := pos :: !res_free
-      | Some (rs, guards) ->
-        res_guards := guards @ !res_guards;
-        List.iter (fun r -> tbl_add res_pinned r pos) rs);
-      (match avals with
+      | Some p ->
+        res_guards := p.Target.pin_guards @ !res_guards;
+        List.iter (fun r -> tbl_add res_pinned r pos) p.Target.pin_values);
+      (match apin with
       | None -> act_free := pos :: !act_free
-      | Some (as_, guards) ->
-        act_guards := guards @ !act_guards;
-        List.iter (fun a -> tbl_add act_pinned a pos) as_);
-      match (rvals, avals) with
+      | Some p ->
+        act_guards := p.Target.pin_guards @ !act_guards;
+        List.iter (fun a -> tbl_add act_pinned a pos) p.Target.pin_values);
+      match (rpin, apin) with
       | None, None -> wild := pos :: !wild
-      | Some (rs, _), None -> List.iter (fun r -> tbl_add by_res r pos) rs
-      | None, Some (as_, _) -> List.iter (fun a -> tbl_add by_act a pos) as_
-      | Some (rs, _), Some (as_, _) ->
-        List.iter (fun r -> List.iter (fun a -> tbl_add by_pair (r, a) pos) as_) rs)
+      | Some r, None -> List.iter (fun v -> tbl_add by_res v pos) r.Target.pin_values
+      | None, Some a -> List.iter (fun v -> tbl_add by_act v pos) a.Target.pin_values
+      | Some r, Some a ->
+        List.iter
+          (fun rv -> List.iter (fun av -> tbl_add by_pair (rv, av) pos) a.Target.pin_values)
+          r.Target.pin_values)
     policy.Policy.rules;
   tbl_freeze by_pair;
   tbl_freeze by_res;
@@ -199,42 +120,17 @@ let compile_leaf policy =
 
 (* --- dispatch ----------------------------------------------------------- *)
 
-(* The request's values for one axis attribute, but only when pruning on
-   it is sound: a non-empty bag of strings and nothing else.  An empty
-   bag may be filled by a resolver later; a non-string value makes
-   [string-equal] error instead of mismatch. *)
-let clean_ids ctx category attr =
-  match Context.bag ctx category attr with
-  | [] -> None
-  | bag ->
-    let rec strings acc = function
-      | [] -> Some (List.rev acc)
-      | Value.String s :: rest -> strings (s :: acc) rest
-      | _ -> None
-    in
-    strings [] bag
-
 let find_list tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:[]
-
-(* Every guard attribute must carry a non-empty all-string bag, so the
-   sections evaluated before a pinned one resolve to Match or No_match —
-   never Indeterminate — and the pin's mismatch decides the target. *)
-let guards_clean ctx guards =
-  List.for_all
-    (fun (category, attr) ->
-      match Context.bag ctx category attr with
-      | [] -> false
-      | bag -> List.for_all (function Value.String _ -> true | _ -> false) bag)
-    guards
 
 (* Candidate positions in document order. *)
 let dispatch leaf ctx =
   let rids =
-    if guards_clean ctx leaf.res_guards then clean_ids ctx Context.Resource "resource-id"
+    if Target.guards_clean ctx leaf.res_guards then
+      Target.clean_ids ctx Context.Resource "resource-id"
     else None
   in
   let aids =
-    if guards_clean ctx leaf.act_guards then clean_ids ctx Context.Action "action-id"
+    if Target.guards_clean ctx leaf.act_guards then Target.clean_ids ctx Context.Action "action-id"
     else None
   in
   match (rids, aids) with

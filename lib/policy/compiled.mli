@@ -12,14 +12,15 @@
     sequence the interpreter would, minus rules that provably cannot
     match.
 
-    Soundness of pruning: a rule is indexed on an axis only when every
-    clause of that target section pins the axis attribute with
-    [string-equal] on a string literal, and pruning on an axis is
-    attempted only when the request carries a non-empty, all-string bag
-    for that attribute (a non-string value would make [string-equal]
-    error — Indeterminate — rather than mismatch, so such requests take
-    the full scan).  Under those two conditions a pruned rule's target
-    is guaranteed [No_match], hence the rule is NotApplicable and
+    Soundness of pruning: a rule is indexed on an axis only through its
+    {!Target.pin} for [(Resource, "resource-id")] or
+    [(Action, "action-id")] — every clause of that section pins the
+    attribute with [string-equal] on a string literal reading that same
+    category, and every match of the earlier sections is guardable —
+    and pruning on an axis is attempted only when the request carries a
+    non-empty, all-string bag there and at every guard position.  Under
+    those conditions a pruned rule's target is guaranteed [No_match]
+    (see {!Target.excludes}), hence the rule is NotApplicable and
     contributes nothing to any combining algorithm.
 
     The compiled form is a pure value: compiling never changes
@@ -76,31 +77,3 @@ val pruned_rules : t -> Context.t -> Rule.t list
 (** The rules dispatch skips for this request (the complement of the
     candidate set).  Every pruned rule's target is [No_match] for the
     request — the property the equivalence suite checks directly. *)
-
-(** {1 Guard discipline}
-
-    The primitives the soundness argument above is built from, exported
-    for {!Delta}'s change-impact analysis, which must exclude requests
-    from an affected region under exactly the same conditions dispatch
-    prunes rules. *)
-
-val section_axis_values : string -> Target.section -> string list option
-(** The values a target section accepts for an attribute, when every
-    clause pins it with [string-equal] on a string literal; [None] when
-    some clause leaves it free (or the section is empty). *)
-
-val section_guards : Target.section -> (Context.category * string) list option
-(** The (category, attribute) positions a section reads, when every
-    match is a [string-equal] against a string literal (and so can never
-    error on an all-string bag); [None] otherwise. *)
-
-val guards_clean : Context.t -> (Context.category * string) list -> bool
-(** Every guard position carries a non-empty all-string bag, so the
-    guarded sections evaluate to Match or No_match — never
-    Indeterminate. *)
-
-val clean_ids : Context.t -> Context.category -> string -> string list option
-(** The request's bag at one position when pruning on it is sound: a
-    non-empty bag of strings and nothing else.  An empty bag may be
-    filled by a resolver later; a non-string value makes [string-equal]
-    error instead of mismatch. *)

@@ -1,4 +1,4 @@
-type pin = {
+type pin = Target.pin = {
   pin_category : Context.category;
   pin_attribute : string;
   pin_values : string list;
@@ -33,94 +33,11 @@ let union a b =
   | Empty, t | t, Empty -> t
   | Zones xs, Zones ys -> normalize (Zones (xs @ ys))
 
-(* --- pin harvesting ------------------------------------------------------ *)
-
-(* The values a clause pins for (category, attr) via string-equal on a
-   string literal; None when the clause leaves the position free.  Like
-   Compiled.clause_axis_values but category-checked: exclusion must read
-   the bag the match actually reads. *)
-let clause_pin category attr clause =
-  let values =
-    List.filter_map
-      (fun m ->
-        if
-          m.Target.category = category
-          && m.Target.attribute_id = attr
-          && m.Target.fn = "string-equal"
-        then match m.Target.value with Value.String s -> Some s | _ -> None
-        else None)
-      clause
-  in
-  match values with [] -> None | vs -> Some vs
-
-(* Pins a section contributes for its own category: every clause must
-   pin the same (category, attr) position, mirroring
-   Compiled.section_axis_values, so a disjoint clean bag makes every
-   clause — hence the section — No_match. *)
-let section_pins category section guards =
-  match section with
-  | [] -> []
-  | first :: _ ->
-    let candidates =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun m ->
-             if m.Target.category = category && m.Target.fn = "string-equal" then
-               match m.Target.value with
-               | Value.String _ -> Some m.Target.attribute_id
-               | _ -> None
-             else None)
-           first)
-    in
-    List.filter_map
-      (fun attr ->
-        let per_clause = List.map (clause_pin category attr) section in
-        if List.exists (fun v -> v = None) per_clause then None
-        else
-          Some
-            {
-              pin_category = category;
-              pin_attribute = attr;
-              pin_values =
-                List.sort_uniq compare
-                  (List.concat_map (fun v -> Option.value v ~default:[]) per_clause);
-              pin_guards = guards;
-            })
-      candidates
-
-(* All pins of one target.  A section's pins are usable only when every
-   section the interpreter evaluates before it is guardable (subjects,
-   then resources, then actions, then environments) — the same
-   eligibility rule as Compiled's axis indexing, generalised to every
-   pinned attribute. *)
-let target_pins (t : Target.t) =
-  let subj = section_pins Context.Subject t.Target.subjects [] in
-  let gs = Compiled.section_guards t.Target.subjects in
-  let res =
-    match gs with
-    | None -> []
-    | Some g -> section_pins Context.Resource t.Target.resources g
-  in
-  let gr = Compiled.section_guards t.Target.resources in
-  let act =
-    match (gs, gr) with
-    | Some g1, Some g2 -> section_pins Context.Action t.Target.actions (g1 @ g2)
-    | _ -> []
-  in
-  let ga = Compiled.section_guards t.Target.actions in
-  let env =
-    match (gs, gr, ga) with
-    | Some g1, Some g2, Some g3 ->
-      section_pins Context.Environment t.Target.environments (g1 @ g2 @ g3)
-    | _ -> []
-  in
-  subj @ res @ act @ env
-
 (* --- tree diff ----------------------------------------------------------- *)
 
 let zone_of_child outer = function
-  | Policy.Inline_policy p -> target_pins p.Policy.target @ outer
-  | Policy.Inline_set s -> target_pins s.Policy.set_target @ outer
+  | Policy.Inline_policy p -> Target.pins p.Policy.target @ outer
+  | Policy.Inline_set s -> Target.pins s.Policy.set_target @ outer
   | Policy.Policy_ref _ -> outer
 
 (* Trim the structurally common prefix and suffix of two lists; edits
@@ -150,10 +67,10 @@ and diff_policy outer po pn =
     normalize
       (Zones
          [
-           target_pins po.Policy.target @ outer; target_pins pn.Policy.target @ outer;
+           Target.pins po.Policy.target @ outer; Target.pins pn.Policy.target @ outer;
          ])
   else
-    let zouter = target_pins po.Policy.target @ outer in
+    let zouter = Target.pins po.Policy.target @ outer in
     if
       po.Policy.rule_combining <> pn.Policy.rule_combining
       || po.Policy.obligations <> pn.Policy.obligations
@@ -170,26 +87,26 @@ and diff_rules zouter olds news =
        where the (unchanged) target applies; a retarget affects the old
        and new applicability *)
     if ro.Rule.target = rn.Rule.target then
-      normalize (Zones [ target_pins ro.Rule.target @ zouter ])
+      normalize (Zones [ Target.pins ro.Rule.target @ zouter ])
     else
       normalize
         (Zones
            [
-             target_pins ro.Rule.target @ zouter; target_pins rn.Rule.target @ zouter;
+             Target.pins ro.Rule.target @ zouter; Target.pins rn.Rule.target @ zouter;
            ])
   | a, b ->
-    normalize (Zones (List.map (fun r -> target_pins r.Rule.target @ zouter) (a @ b)))
+    normalize (Zones (List.map (fun r -> Target.pins r.Rule.target @ zouter) (a @ b)))
 
 and diff_set outer so sn =
   if so.Policy.set_target <> sn.Policy.set_target then
     normalize
       (Zones
          [
-           target_pins so.Policy.set_target @ outer;
-           target_pins sn.Policy.set_target @ outer;
+           Target.pins so.Policy.set_target @ outer;
+           Target.pins sn.Policy.set_target @ outer;
          ])
   else
-    let zouter = target_pins so.Policy.set_target @ outer in
+    let zouter = Target.pins so.Policy.set_target @ outer in
     if
       so.Policy.policy_combining <> sn.Policy.policy_combining
       || so.Policy.set_obligations <> sn.Policy.set_obligations
@@ -212,14 +129,7 @@ let between before after =
 
 (* --- membership ---------------------------------------------------------- *)
 
-let pin_excludes ctx pin =
-  Compiled.guards_clean ctx pin.pin_guards
-  &&
-  match Compiled.clean_ids ctx pin.pin_category pin.pin_attribute with
-  | None -> false
-  | Some ids -> List.for_all (fun v -> not (List.mem v pin.pin_values)) ids
-
-let zone_covers ctx zone = not (List.exists (pin_excludes ctx) zone)
+let zone_covers ctx zone = not (List.exists (Target.excludes ctx) zone)
 
 let covers t ctx =
   match t with

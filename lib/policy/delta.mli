@@ -10,33 +10,26 @@
     invalidation plane then drops only cached decisions inside the
     region instead of flushing VO-wide.
 
-    Soundness rests on {!Compiled}'s guard discipline: a pin excludes a
-    request only when the pinned bag is non-empty and all-string (so a
-    resolver cannot refill it and [string-equal] cannot error) and every
-    target section evaluated before the pinned one is guard-clean (so it
-    resolves to Match or No_match, never Indeterminate).  Under those
-    conditions the changed construct's target is provably [No_match] for
-    the request, the construct is NotApplicable on both sides of the
-    publish, and every combining algorithm sees identical inputs.
+    Soundness rests on {!Target}'s static reading, the one {!Compiled}
+    prunes by: a zone's pins are {!Target.pins} of the changed
+    construct's effective target, and a request is outside the zone
+    only when some pin {!Target.excludes} it — that target is then
+    provably [No_match], the construct is NotApplicable on both sides of
+    the publish, and every combining algorithm sees identical inputs.
 
     The analysis never errs toward exclusion: structure it cannot bound
     (changed [Policy_ref] wiring, free-form targets, more than
     {!max_zones} zones) widens to {!Unbounded}, which callers treat as
     the existing full flush. *)
 
-type pin = {
+type pin = Target.pin = {
   pin_category : Context.category;
   pin_attribute : string;
-  pin_values : string list;  (** sorted, deduplicated *)
+  pin_values : string list;
   pin_guards : (Context.category * string) list;
-      (** positions that must carry clean bags before this pin may
-          exclude (the attributes of the target sections evaluated
-          before the pinned one) *)
 }
-(** One exclusion opportunity: a request whose bag at
-    [(pin_category, pin_attribute)] is non-empty, all-string and
-    disjoint from [pin_values] — with all [pin_guards] clean — provably
-    fails the originating target. *)
+(** One exclusion opportunity, as {!Target.pin} reads it: a request
+    {!Target.excludes} provably fails the originating target. *)
 
 type zone = pin list
 (** Conjunction of pins from one changed construct's effective target
@@ -79,10 +72,9 @@ val between : Policy.child option -> Policy.child option -> t
     target pins plus its ancestors'. *)
 
 val covers : t -> Context.t -> bool
-(** Conservative membership: [false] only when some zone's pin provably
-    excludes the request under the guard discipline.  Requests with
-    empty or non-string bags at every pinned position are always
-    covered. *)
+(** Conservative membership: [false] only when, in every zone, some pin
+    {!Target.excludes} the request.  Requests with empty or non-string
+    bags at every pinned position are always covered. *)
 
 val attributes : t -> (Context.category * string) list
 (** Every (category, attribute) position the region's pins and guards

@@ -106,6 +106,124 @@ let evaluate ?resolve ctx t =
   in
   go sections
 
+(* --- static reading: what a target provably excludes ------------------- *)
+
+type pin = {
+  pin_category : Context.category;
+  pin_attribute : string;
+  pin_values : string list;
+  pin_guards : (Context.category * string) list;
+}
+
+(* Section categories in evaluation order. *)
+let categories = Context.[ Subject; Resource; Action; Environment ]
+
+let section_of t = function
+  | Context.Subject -> t.subjects
+  | Context.Resource -> t.resources
+  | Context.Action -> t.actions
+  | Context.Environment -> t.environments
+
+(* String equality between string operands answers true or false on any
+   all-string bag: the one match shape that can neither error nor be
+   satisfied by a value other than its literal. *)
+let guardable m =
+  m.fn = "string-equal" && match m.value with Value.String _ -> true | _ -> false
+
+(* The values a clause pins at (category, attr): its guardable matches
+   on that attribute that also read that category's bag. *)
+let clause_values category attr clause =
+  List.filter_map
+    (fun m ->
+      match m.value with
+      | Value.String s
+        when m.category = category && m.attribute_id = attr && m.fn = "string-equal" ->
+        Some s
+      | _ -> None)
+    clause
+
+(* A section pins a position only when every clause does; an empty
+   section matches everything and pins nothing. *)
+let section_values category attr = function
+  | [] -> None
+  | clauses ->
+    let rec go acc = function
+      | [] -> Some (List.sort_uniq compare acc)
+      | c :: rest -> (
+        match clause_values category attr c with [] -> None | vs -> go (vs @ acc) rest)
+    in
+    go [] clauses
+
+(* The positions a section reads, when every match is guardable. *)
+let section_guards section =
+  if List.for_all (List.for_all guardable) section then
+    Some (List.concat_map (List.map (fun m -> (m.category, m.attribute_id))) section)
+  else None
+
+(* Guards of the sections evaluated before [category]'s, or None when one
+   of them could short-circuit the target to Indeterminate. *)
+let earlier_guards t category =
+  let rec go acc = function
+    | c :: rest when c <> category -> (
+      match section_guards (section_of t c) with None -> None | Some g -> go (acc @ g) rest)
+    | _ -> Some acc
+  in
+  go [] categories
+
+(* The section test comes first: the guards are computed only for a
+   position that pins, so indexing a rule that pins nothing costs one
+   scan of one section. *)
+let pin t category attr =
+  match section_values category attr (section_of t category) with
+  | None -> None
+  | Some values -> (
+    match earlier_guards t category with
+    | None -> None
+    | Some guards ->
+      Some
+        { pin_category = category; pin_attribute = attr; pin_values = values; pin_guards = guards })
+
+let pins t =
+  List.concat_map
+    (fun category ->
+      match section_of t category with
+      | [] -> []
+      | first :: _ ->
+        let attrs =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun m -> if m.category = category && guardable m then Some m.attribute_id else None)
+               first)
+        in
+        List.filter_map (pin t category) attrs)
+    categories
+
+let clean_ids ctx category attr =
+  match Context.bag ctx category attr with
+  | [] -> None
+  | bag ->
+    let rec strings acc = function
+      | [] -> Some (List.rev acc)
+      | Value.String s :: rest -> strings (s :: acc) rest
+      | _ -> None
+    in
+    strings [] bag
+
+let guards_clean ctx guards =
+  List.for_all
+    (fun (category, attr) ->
+      match Context.bag ctx category attr with
+      | [] -> false
+      | bag -> List.for_all (function Value.String _ -> true | _ -> false) bag)
+    guards
+
+let excludes ctx pin =
+  guards_clean ctx pin.pin_guards
+  &&
+  match clean_ids ctx pin.pin_category pin.pin_attribute with
+  | None -> false
+  | Some ids -> List.for_all (fun v -> not (List.mem v pin.pin_values)) ids
+
 let pp_match fmt m =
   Format.fprintf fmt "%s(%a, %s/%s)" m.fn Value.pp m.value
     (Context.category_name m.category)

@@ -3,10 +3,12 @@
    mixed dispatch buckets, Indeterminate-coarsening parity on the
    pruning guards, and QCheck properties over the compiler itself —
    idempotence, no-op epoch preservation, leaf reuse, and soundness of
-   the fallback bucket (every pruned rule's target is No_match).
+   the fallback bucket (every pruned rule's target is No_match, so the
+   compiled decision equals the reference one).
 
-   The cross-evaluator decision equivalence lives in test_oracle; this
-   suite pins the properties of compilation as an operation. *)
+   The cross-evaluator decision equivalence over realistic trees lives
+   in test_oracle; this suite pins the properties of compilation as an
+   operation. *)
 
 module Policy = Dacs_policy.Policy
 module Rule = Dacs_policy.Rule
@@ -240,6 +242,29 @@ let test_unguardable_rule_never_indexed () =
   Alcotest.(check int) "always scanned" (Compiled.rule_count c) (Compiled.candidate_count c ctx);
   check_result "compiled == reference" (Policy.evaluate_child ctx p) (Compiled.evaluate ctx c)
 
+(* A resources-section match that reads the subject's resource-id pins
+   nothing: the request's resource bag never reaches it, so indexing the
+   rule under "chart" would prune it for a request whose subject carries
+   resource-id=chart and whose resource does not. *)
+let test_cross_category_match_not_indexed () =
+  let target =
+    Target.make ~resources:[ [ Target.match_string Context.Subject "resource-id" "chart" ] ] ()
+  in
+  let p = inline_policy "p" [ Rule.permit ~target "r" ] in
+  let c = Compiled.compile p in
+  let cross_ctx =
+    Context.make
+      ~subject:[ ("subject-id", Value.String "alice"); ("resource-id", Value.String "chart") ]
+      ~resource:[ ("resource-id", Value.String "lab") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ()
+  in
+  Alcotest.(check int) "always scanned" 1 (Compiled.candidate_count c cross_ctx);
+  check_result "compiled == reference" (Policy.evaluate_child cross_ctx p)
+    (Compiled.evaluate cross_ctx c);
+  Alcotest.(check bool) "both permit" true
+    ((Compiled.evaluate cross_ctx c).Decision.decision = Decision.Permit)
+
 (* --- QCheck: the compiler as an operation ------------------------------- *)
 
 (* Spec vocabulary mirrors test_oracle's, extended with combined
@@ -250,12 +275,14 @@ let actions = [| "read"; "write" |]
 
 type rule_spec = {
   effect_code : int;
-  target_code : int;  (* 0 any; then resource_is; action_is; subject_is; then combined *)
+  target_code : int;
+      (* 0 any; then resource_is; action_is; subject_is; combined; cross-category *)
   condition_code : int;
   obligation_code : int;
 }
 
 let combined_base = 1 + Array.length resources + Array.length actions + Array.length roles
+let cross_base = combined_base + (Array.length roles * Array.length resources)
 
 let rule_of_spec i s =
   let effect = if s.effect_code = 0 then Rule.Permit else Rule.Deny in
@@ -268,7 +295,7 @@ let rule_of_spec i s =
       Target.(any |> action_is "action-id" actions.(c - 1 - Array.length resources))
     | c when c < combined_base ->
       Target.(any |> subject_is "role" roles.(c - 1 - Array.length resources - Array.length actions))
-    | c ->
+    | c when c < cross_base ->
       (* Combined role + resource pins: the resource pin only prunes
          when the role guard bag is clean. *)
       let k = c - combined_base in
@@ -276,6 +303,12 @@ let rule_of_spec i s =
         any
         |> subject_is "role" roles.(k mod Array.length roles)
         |> resource_is "resource-id" resources.(k / Array.length roles mod Array.length resources))
+    | c ->
+      (* A resources section whose match reads the subject's resource-id:
+         it pins nothing, since the resource bag never reaches it. *)
+      Target.make
+        ~resources:[ [ Target.match_string Context.Subject "resource-id" resources.(c - cross_base) ] ]
+        ()
   in
   let condition =
     match s.condition_code with
@@ -285,7 +318,7 @@ let rule_of_spec i s =
   in
   Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
 
-let target_code_max = combined_base + (Array.length roles * Array.length resources) - 1
+let target_code_max = cross_base + Array.length resources - 1
 let condition_code_max = Array.length roles + 1
 
 let policy_of_spec id (rule_specs, obligation_code) =
@@ -296,13 +329,16 @@ let policy_of_spec id (rule_specs, obligation_code) =
   in
   Policy.make ~id ~rule_combining:Combine.Deny_overrides ~obligations rules
 
-type ctx_spec = { role_code : int; resource_code : int; action_code : int }
+type ctx_spec = { role_code : int; resource_code : int; action_code : int; subject_res_code : int }
 
 let ctx_of_spec s =
   let subject =
     ("subject-id", Value.String "alice")
     :: (if s.role_code = 0 then []
         else [ ("role", Value.String roles.((s.role_code - 1) mod Array.length roles)) ])
+    @
+    if s.subject_res_code = 0 then []
+    else [ ("resource-id", Value.String resources.(s.subject_res_code - 1)) ]
   in
   Context.make ~subject
     ~resource:[ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
@@ -322,9 +358,13 @@ let arb_pspec =
 let arb_ctx =
   let open QCheck in
   map
-    ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code))
-    (fun (r, rs, a) -> { role_code = r; resource_code = rs; action_code = a })
-    (triple (int_bound (Array.length roles)) (int_bound 2) (int_bound 1))
+    ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code, s.subject_res_code))
+    (fun (r, rs, a, sr) ->
+      { role_code = r; resource_code = rs; action_code = a; subject_res_code = sr })
+    (quad
+       (int_bound (Array.length roles))
+       (int_bound 2) (int_bound 1)
+       (int_bound (Array.length resources)))
 
 let arb_case = QCheck.pair arb_pspec arb_ctx
 
@@ -382,13 +422,15 @@ let recompile_epochs =
 
 (* Fallback-bucket soundness: dispatch may only drop rules whose targets
    cannot match, so every pruned rule's target must evaluate to
-   No_match, and kept + pruned must account for every rule. *)
+   No_match, kept + pruned must account for every rule, and the
+   compiled decision must equal the reference one. *)
 let pruning_sound =
   QCheck.Test.make ~name:"every pruned rule's target is No_match" ~count:1000 arb_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec "p" pspec in
       let ctx = ctx_of_spec cspec in
-      let c = Compiled.compile (Policy.Inline_policy policy) in
+      let child = Policy.Inline_policy policy in
+      let c = Compiled.compile child in
       let pruned = Compiled.pruned_rules c ctx in
       if Compiled.candidate_count c ctx + List.length pruned <> Compiled.rule_count c then
         QCheck.Test.fail_reportf "kept + pruned <> total (%s)" (seed_hint ());
@@ -403,6 +445,8 @@ let pruning_sound =
             QCheck.Test.fail_reportf "pruned rule %s is indeterminate: %s (%s)" rule.Rule.id e
               (seed_hint ()))
         pruned;
+      if not (result_equal (Policy.evaluate_child ctx child) (Compiled.evaluate ctx c)) then
+        QCheck.Test.fail_reportf "compiled diverged from reference (%s)" (seed_hint ());
       true)
 
 let () =
@@ -423,6 +467,8 @@ let () =
             test_guard_attribute_disables_pruning;
           Alcotest.test_case "unguardable rule is never indexed" `Quick
             test_unguardable_rule_never_indexed;
+          Alcotest.test_case "cross-category match is never indexed" `Quick
+            test_cross_category_match_not_indexed;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ compile_idempotent; recompile_epochs; pruning_sound ]

@@ -1007,6 +1007,33 @@ let test_conflict_wildcard_overlaps () =
   let pb = Policy.make ~id:"pb" [ Rule.deny "deny-all" ] in
   check int_ "wildcard overlap" 1 (List.length (Conflict.find_between pa pb))
 
+let test_conflict_only_equalities_bind () =
+  (* A pattern match binds no value: a doctor satisfies both rules. *)
+  let subject_match fn value =
+    { Target.fn; value = Value.String value; category = Context.Subject; attribute_id = "role" }
+  in
+  let pa =
+    Policy.make ~id:"pa"
+      [
+        Rule.permit
+          ~target:(Target.make ~subjects:[ [ subject_match "regexp-string-match" "doc.*" ] ] ())
+          "permit-doc-pattern";
+      ]
+  in
+  let pb =
+    Policy.make ~id:"pb"
+      [ Rule.deny ~target:(Target.make ~subjects:[ [ subject_match "string-equal" "doctor" ] ] ()) "deny-doctor" ]
+  in
+  check int_ "pattern vs equality" 1 (List.length (Conflict.find_between pa pb));
+  (* Equal attribute ids in different categories bind different
+     positions: subject id=a and resource id=b hold together. *)
+  let in_resources category v =
+    Target.make ~resources:[ [ Target.match_string category "id" v ] ] ()
+  in
+  let pc = Policy.make ~id:"pc" [ Rule.permit ~target:(in_resources Context.Subject "a") "permit-a" ] in
+  let pd = Policy.make ~id:"pd" [ Rule.deny ~target:(in_resources Context.Resource "b") "deny-b" ] in
+  check int_ "subject id vs resource id" 1 (List.length (Conflict.find_between pc pd))
+
 let test_conflict_in_set () =
   let set =
     Policy.make_set ~id:"s"
@@ -1286,6 +1313,8 @@ let () =
           Alcotest.test_case "detection" `Quick test_conflict_detection;
           Alcotest.test_case "no false positives" `Quick test_conflict_no_false_positive;
           Alcotest.test_case "wildcard overlap" `Quick test_conflict_wildcard_overlaps;
+          Alcotest.test_case "only equalities bind, per category" `Quick
+            test_conflict_only_equalities_bind;
           Alcotest.test_case "nested sets" `Quick test_conflict_in_set;
           Alcotest.test_case "resolutions" `Quick test_conflict_resolutions;
         ] );

@@ -386,6 +386,44 @@ let test_target_unknown_function () =
   | Target.Indeterminate_match _ -> ()
   | _ -> Alcotest.fail "expected indeterminate"
 
+let test_target_pin_same_category () =
+  (* A resources-section match reading the subject's bag pins nothing. *)
+  let t =
+    Target.make ~resources:[ [ Target.match_string Context.Subject "resource-id" "chart" ] ] ()
+  in
+  check bool_ "cross-category clause not pinned" true
+    (Target.pin t Context.Resource "resource-id" = None);
+  check bool_ "and not among pins" true (Target.pins t = [])
+
+let test_target_pin_unguardable_earlier () =
+  (* An earlier section that could error blocks every later pin. *)
+  let t =
+    Target.make
+      ~subjects:
+        [ [ { Target.fn = "integer-equal"; value = Value.Int 1; category = Context.Subject; attribute_id = "level" } ] ]
+      ~resources:[ [ Target.match_string Context.Resource "resource-id" "chart" ] ]
+      ()
+  in
+  check bool_ "no resource pin" true (Target.pin t Context.Resource "resource-id" = None);
+  check bool_ "no pins at all" true (Target.pins t = []);
+  (* With a guardable subject section the pin appears, guarded by it. *)
+  let t = Target.(any |> subject_is "role" "doctor" |> resource_is "resource-id" "chart") in
+  match Target.pin t Context.Resource "resource-id" with
+  | Some p ->
+    check (Alcotest.list Alcotest.string) "values" [ "chart" ] p.Target.pin_values;
+    check bool_ "guarded by role" true (p.Target.pin_guards = [ (Context.Subject, "role") ])
+  | None -> Alcotest.fail "expected a resource-id pin"
+
+let test_target_pin_values_sorted () =
+  let clause v = [ Target.match_string Context.Action "action-id" v ] in
+  let t = Target.make ~actions:[ clause "write"; clause "read"; clause "write"; clause "audit" ] () in
+  match Target.pins t with
+  | [ p ] ->
+    check (Alcotest.list Alcotest.string) "sorted, deduplicated" [ "audit"; "read"; "write" ]
+      p.Target.pin_values;
+    check bool_ "pin equals pins" true (Target.pin t Context.Action "action-id" = Some p)
+  | pins -> Alcotest.failf "expected one pin, got %d" (List.length pins)
+
 let test_target_resolver () =
   let resolve category id =
     if category = Context.Subject && id = "org" then Some [ Value.String "hospital-a" ] else None
@@ -1167,6 +1205,11 @@ let () =
           Alcotest.test_case "multiple sections" `Quick test_target_multi_section;
           Alcotest.test_case "unknown function" `Quick test_target_unknown_function;
           Alcotest.test_case "resolver" `Quick test_target_resolver;
+          Alcotest.test_case "pin reads its own category" `Quick test_target_pin_same_category;
+          Alcotest.test_case "pin needs guardable earlier sections" `Quick
+            test_target_pin_unguardable_earlier;
+          Alcotest.test_case "pin values sorted and deduplicated" `Quick
+            test_target_pin_values_sorted;
         ] );
       ( "rule",
         [
