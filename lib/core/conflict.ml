@@ -58,38 +58,33 @@ let compatible a b =
       match bound category attr b with Some v' -> String.equal v v' | None -> true)
     a
 
+(* A target's four sections as lists of clause constraints, derived once
+   per (policy, rule) rather than once per rule pair. *)
+let target_constraints t =
+  List.map (List.map clause_constraint)
+    [ t.Target.subjects; t.Target.resources; t.Target.actions; t.Target.environments ]
+
 (* Section overlap: empty section = matches anything. *)
 let sections_overlap sa sb =
   match (sa, sb) with
-  | [], _ | _, [] ->
-    let any_satisfiable s = s = [] || List.exists (fun c -> clause_constraint c <> None) s in
-    if sa = [] then any_satisfiable sb else any_satisfiable sa
+  | [], [] -> true
+  | [], s | s, [] -> List.exists Option.is_some s
   | _ ->
     List.exists
-      (fun ca ->
-        match clause_constraint ca with
+      (function
         | None -> false
-        | Some ba ->
-          List.exists
-            (fun cb ->
-              match clause_constraint cb with
-              | None -> false
-              | Some bb -> compatible ba bb)
-            sb)
+        | Some ba -> List.exists (function None -> false | Some bb -> compatible ba bb) sb)
       sa
 
 (* Effective target of a rule inside a policy: both targets constrain the
    request, so overlap must hold for the pair (policy ∧ rule) on each
-   side.  We approximate the conjunction by checking both. *)
+   side.  We approximate the conjunction by checking both.  Each side is
+   the {!target_constraints} of a policy and of one of its rules. *)
 let targets_overlap (pa, ra) (pb, rb) =
-  let sections t = [ t.Target.subjects; t.Target.resources; t.Target.actions; t.Target.environments ] in
-  let overlap ta tb = List.for_all2 sections_overlap (sections ta) (sections tb) in
+  let overlap ta tb = List.for_all2 sections_overlap ta tb in
   (* Overlap of the combined constraints: every one of the four targets
      involved must pairwise overlap on each section. *)
-  overlap ra.Rule.target rb.Rule.target
-  && overlap pa.Policy.target pb.Policy.target
-  && overlap pa.Policy.target rb.Rule.target
-  && overlap pb.Policy.target ra.Rule.target
+  overlap ra rb && overlap pa pb && overlap pa rb && overlap pb ra
 
 let witness_for (p, r) =
   let describe t =
@@ -111,7 +106,8 @@ let witness_for (p, r) =
   let all = describe p.Policy.target @ describe r.Rule.target in
   if all = [] then "any request" else String.concat ", " all
 
-(* Gather (policy, rule, document position) triples from a set. *)
+(* Gather (policy, rule, document position, constraints) entries from a
+   set; a policy's constraints are derived once for all its rules. *)
 let rec rules_of_set pos set =
   List.concat_map
     (fun child ->
@@ -122,12 +118,13 @@ let rec rules_of_set pos set =
     set.Policy.children
 
 and rules_of_policy pos (p : Policy.t) =
+  let policy_constraints = target_constraints p.Policy.target in
   (* Explicit fold: document positions must follow rule order. *)
   List.rev
     (List.fold_left
        (fun acc r ->
          incr pos;
-         (p, r, !pos) :: acc)
+         (p, r, !pos, (policy_constraints, target_constraints r.Rule.target)) :: acc)
        [] p.Policy.rules)
 
 let make_ref (p : Policy.t) (r : Rule.t) =
@@ -136,12 +133,12 @@ let make_ref (p : Policy.t) (r : Rule.t) =
 let conflicts_among triples =
   let rec pairs acc = function
     | [] -> List.rev acc
-    | (pa, ra, posa) :: rest ->
+    | (pa, ra, posa, ca) :: rest ->
       let found =
         List.filter_map
-          (fun (pb, rb, posb) ->
+          (fun (pb, rb, posb, cb) ->
             if ra.Rule.effect = rb.Rule.effect then None
-            else if not (targets_overlap (pa, ra) (pb, rb)) then None
+            else if not (targets_overlap ca cb) then None
             else begin
               let (pp, pr, ppos), (dp, dr, dpos) =
                 if ra.Rule.effect = Rule.Permit then ((pa, ra, posa), (pb, rb, posb))

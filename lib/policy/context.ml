@@ -91,25 +91,27 @@ let of_xml node =
   else begin
     let result = ref empty in
     let error = ref None in
+    let attribute category = function
+      | Xml.Element { tag; attrs; _ } as attr_node when Xml.local_name tag = "Attribute" -> (
+        match (List.assoc_opt "AttributeId" attrs, List.assoc_opt "DataType" attrs) with
+        | Some id, Some dt_name -> (
+          match Value.data_type_of_name dt_name with
+          | None -> error := Some (Printf.sprintf "unknown data type %s" dt_name)
+          | Some dt -> (
+            match Value.of_string dt (Xml.text_content attr_node) with
+            | Ok v -> result := add !result category id v
+            | Error e -> error := Some e))
+        | _ -> error := Some "Attribute needs AttributeId and DataType")
+      | _ -> ()
+    in
     List.iter
-      (fun section ->
-        match category_of_name (Xml.local_name section.Xml.tag) with
-        | None -> error := Some (Printf.sprintf "unknown category element %s" section.Xml.tag)
-        | Some category ->
-          List.iter
-            (fun attr_node ->
-              let attr_node = Xml.Element attr_node in
-              match (Xml.attr attr_node "AttributeId", Xml.attr attr_node "DataType") with
-              | Some id, Some dt_name -> (
-                match Value.data_type_of_name dt_name with
-                | None -> error := Some (Printf.sprintf "unknown data type %s" dt_name)
-                | Some dt -> (
-                  match Value.of_string dt (Xml.text_content attr_node) with
-                  | Ok v -> result := add !result category id v
-                  | Error e -> error := Some e))
-              | _ -> error := Some "Attribute needs AttributeId and DataType")
-            (List.filter (fun e -> Xml.local_name e.Xml.tag = "Attribute") (Xml.child_elements (Xml.Element section))))
-      (Xml.child_elements node);
+      (function
+        | Xml.Text _ -> ()
+        | Xml.Element section -> (
+          match category_of_name (Xml.local_name section.tag) with
+          | None -> error := Some (Printf.sprintf "unknown category element %s" section.tag)
+          | Some category -> List.iter (attribute category) section.children))
+      (Xml.children node);
     match !error with Some e -> Error e | None -> Ok !result
   end
 

@@ -167,51 +167,93 @@ let unescape_service s =
     Buffer.contents buf
   end
 
+(* Frames are built in one buffer sized to the frame, with lengths and
+   ids written as decimal digits in place. *)
+
+let rec decimal_width n =
+  if n < 0 then String.length (string_of_int n) else if n < 10 then 1 else 1 + decimal_width (n / 10)
+
+let rec add_decimal buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_decimal buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
 (* Batch bodies: length-prefixed parts ("<len>:<bytes>..."), so parts may
    contain anything — including '|' and further frames. *)
 
-let encode_parts parts =
-  let buf = Buffer.create 256 in
+let parts_length parts =
+  List.fold_left (fun n p -> n + decimal_width (String.length p) + 1 + String.length p) 0 parts
+
+let add_parts buf parts =
   List.iter
     (fun p ->
-      Buffer.add_string buf (string_of_int (String.length p));
+      add_decimal buf (String.length p);
       Buffer.add_char buf ':';
       Buffer.add_string buf p)
-    parts;
+    parts
+
+let encode_parts parts =
+  let buf = Buffer.create (parts_length parts) in
+  add_parts buf parts;
   Buffer.contents buf
 
+(* A length prefix is decimal digits only, which is all [encode_parts]
+   writes; a prefix longer than the input is rejected as soon as it is. *)
 let decode_parts s =
   let n = String.length s in
-  let rec go acc i =
-    if i = n then Some (List.rev acc)
+  let rec part acc i =
+    if i = n then Some (List.rev acc) else prefix acc i i 0
+  and prefix acc start j len =
+    if j = n then None
     else
-      match String.index_from_opt s i ':' with
-      | None -> None
-      | Some colon -> (
-        match int_of_string_opt (String.sub s i (colon - i)) with
-        | None -> None
-        | Some len ->
-          if len < 0 || colon + 1 + len > n then None
-          else go (String.sub s (colon + 1) len :: acc) (colon + 1 + len))
+      match String.unsafe_get s j with
+      | '0' .. '9' as c ->
+        let len = (len * 10) + (Char.code c - 48) in
+        if len > n then None else prefix acc start (j + 1) len
+      | ':' when j > start ->
+        if j + 1 + len > n then None else part (String.sub s (j + 1) len :: acc) (j + 1 + len)
+      | _ -> None
   in
-  go [] 0
+  part [] 0
 
-let encode_request id service body = Printf.sprintf "Q|%d|%s|%s" id (escape_service service) body
+type body = Raw of string | Parts of string list
+
+(* kind '|' id '|' (segment '|')* body *)
+let encode_frame kind id segments body =
+  let body_length = match body with Raw b -> String.length b | Parts p -> parts_length p in
+  let buf =
+    Buffer.create
+      (String.length kind + decimal_width id + 2
+      + List.fold_left (fun n s -> n + String.length s + 1) 0 segments
+      + body_length)
+  in
+  Buffer.add_string buf kind;
+  Buffer.add_char buf '|';
+  add_decimal buf id;
+  Buffer.add_char buf '|';
+  List.iter
+    (fun s ->
+      Buffer.add_string buf s;
+      Buffer.add_char buf '|')
+    segments;
+  (match body with Raw b -> Buffer.add_string buf b | Parts p -> add_parts buf p);
+  Buffer.contents buf
+
+let encode_request id service body = encode_frame "Q" id [ escape_service service ] (Raw body)
 
 (* The trace context travels as one extra escaped header segment; replies
    need none (the pending table already knows which span awaits them). *)
 let encode_traced_request id service ~trace body =
-  Printf.sprintf "T|%d|%s|%s|%s" id (escape_service service) (escape_service trace) body
+  encode_frame "T" id [ escape_service service; escape_service trace ] (Raw body)
 
-let encode_reply id body = Printf.sprintf "A|%d||%s" id body
-let encode_error id msg = Printf.sprintf "E|%d||%s" id msg
-
-let encode_batch_request id service parts =
-  Printf.sprintf "B|%d|%s|%s" id (escape_service service) (encode_parts parts)
+let encode_reply id body = encode_frame "A" id [ "" ] (Raw body)
+let encode_error id msg = encode_frame "E" id [ "" ] (Raw msg)
+let encode_batch_request id service parts = encode_frame "B" id [ escape_service service ] (Parts parts)
 
 let encode_traced_batch_request id service ~trace parts =
-  Printf.sprintf "BT|%d|%s|%s|%s" id (escape_service service) (escape_service trace)
-    (encode_parts parts)
+  encode_frame "BT" id [ escape_service service; escape_service trace ] (Parts parts)
 
 type frame =
   | Request of int * string * string

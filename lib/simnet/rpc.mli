@@ -216,3 +216,7 @@ val encode_parts : string list -> string
     one answer per query. *)
 
 val decode_parts : string -> string list option
+(** Inverse of {!encode_parts}.  A length prefix must be one or more
+    decimal digits, which is all {!encode_parts} writes: signs, [0x]/[0o]/
+    [0b]/[0u] prefixes and ['_'] separators are rejected, as is any prefix
+    that claims more bytes than follow it. *)

@@ -55,7 +55,8 @@ let find_child node name =
 
 let rec text_content node =
   match node with
-  | Text s -> s
+  | Text s | Element { children = [ Text s ]; _ } -> s
+  | Element { children = []; _ } -> ""
   | Element e -> String.concat "" (List.map text_content e.children)
 
 let is_element = function Element _ -> true | Text _ -> false
@@ -64,18 +65,30 @@ let is_element = function Element _ -> true | Text _ -> false
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Append [s] escaped; clean stretches go in with one blit each, so a
+   string with none of the five special characters is appended as is. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    match String.unsafe_get s i with
+    | ('&' | '<' | '>' | '"' | '\'') as c ->
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf
+        (match c with
+        | '&' -> "&amp;"
+        | '<' -> "&lt;"
+        | '>' -> "&gt;"
+        | '"' -> "&quot;"
+        | _ -> "&apos;");
+      start := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !start (n - !start)
+
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | '\'' -> Buffer.add_string buf "&apos;"
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
 let print_attrs buf attrs =
@@ -84,13 +97,13 @@ let print_attrs buf attrs =
       Buffer.add_char buf ' ';
       Buffer.add_string buf k;
       Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape v);
+      add_escaped buf v;
       Buffer.add_char buf '"')
     attrs
 
 let rec print_compact buf node =
   match node with
-  | Text s -> Buffer.add_string buf (escape s)
+  | Text s -> add_escaped buf s
   | Element e ->
     Buffer.add_char buf '<';
     Buffer.add_string buf e.tag;
@@ -116,7 +129,7 @@ let to_pretty_string node =
     match node with
     | Text s ->
       pad level;
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '\n'
     | Element e ->
       pad level;
@@ -127,7 +140,7 @@ let to_pretty_string node =
       | [] -> Buffer.add_string buf "/>\n"
       | [ Text s ] ->
         Buffer.add_char buf '>';
-        Buffer.add_string buf (escape s);
+        add_escaped buf s;
         Buffer.add_string buf "</";
         Buffer.add_string buf e.tag;
         Buffer.add_string buf ">\n"
@@ -188,42 +201,53 @@ let rec depth = function
 
 exception Parse_error of { line : int; column : int; message : string }
 
-type parser_state = { src : string; mutable pos : int; mutable line : int; mutable bol : int }
+(* A single pass by index over [src].  Text runs and attribute values are
+   cut out with one [String.sub] each; [buf] is used only when an entity,
+   a CDATA section, a comment or a processing instruction splits a run,
+   and is empty again whenever an element starts. *)
+type parser_state = { src : string; len : int; mutable pos : int; buf : Buffer.t }
 
+(* Line and column of [pos]: every character before it has been consumed,
+   so the line is one plus the newlines before it. *)
 let fail st message =
-  raise (Parse_error { line = st.line; column = st.pos - st.bol + 1; message })
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to st.pos - 1 do
+    if String.unsafe_get st.src i = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  raise (Parse_error { line = !line; column = st.pos - !bol + 1; message })
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= st.len
 
-let advance st =
-  (if st.pos < String.length st.src then
-     match st.src.[st.pos] with
-     | '\n' ->
-       st.line <- st.line + 1;
-       st.bol <- st.pos + 1
-     | _ -> ());
-  st.pos <- st.pos + 1
-
-let looking_at st s =
+(* Whether [s] occurs in [src] at index [i], compared in place.  The
+   scanning functions below are loops or top-level recursions, never local
+   closures, so that scanning allocates nothing. *)
+let matches_at st i s =
   let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
+  i + n <= st.len
+  &&
+  let k = ref 0 in
+  while !k < n && String.unsafe_get st.src (i + !k) = String.unsafe_get s !k do
+    incr k
+  done;
+  !k = n
+
+let looking_at st s = matches_at st st.pos s
 
 let expect st s =
-  if looking_at st s then
-    for _ = 1 to String.length s do
-      advance st
-    done
+  if looking_at st s then st.pos <- st.pos + String.length s
   else fail st (Printf.sprintf "expected %S" s)
 
+let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
 let skip_ws st =
-  let rec go () =
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ()
+  let p = ref st.pos in
+  while !p < st.len && is_ws (String.unsafe_get st.src !p) do
+    incr p
+  done;
+  st.pos <- !p
 
 let is_name_char c =
   (c >= 'a' && c <= 'z')
@@ -231,17 +255,19 @@ let is_name_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '-' || c = '.' || c = ':'
 
-let parse_name st =
+(* Advance over a name and return where it started. *)
+let scan_name st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_name_char c ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ();
-  if st.pos = start then fail st "expected a name";
+  let p = ref start in
+  while !p < st.len && is_name_char (String.unsafe_get st.src !p) do
+    incr p
+  done;
+  st.pos <- !p;
+  if !p = start then fail st "expected a name";
+  start
+
+let parse_name st =
+  let start = scan_name st in
   String.sub st.src start (st.pos - start)
 
 let utf8_of_code buf code =
@@ -263,28 +289,25 @@ let utf8_of_code buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
-let parse_entity st buf =
-  (* Called with st.pos on '&'. *)
-  advance st;
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some ';' -> ()
-    | Some _ ->
-      advance st;
-      go ()
-    | None -> fail st "unterminated entity reference"
+let parse_entity st =
+  (* Called with st.pos on '&'; appends the decoded character to st.buf. *)
+  let start = st.pos + 1 in
+  let semi =
+    match String.index_from_opt st.src start ';' with
+    | Some semi -> semi
+    | None ->
+      st.pos <- st.len;
+      fail st "unterminated entity reference"
   in
-  go ();
-  let name = String.sub st.src start (st.pos - start) in
-  advance st;
-  match name with
+  st.pos <- semi + 1;
+  let buf = st.buf in
+  match String.sub st.src start (semi - start) with
   | "lt" -> Buffer.add_char buf '<'
   | "gt" -> Buffer.add_char buf '>'
   | "amp" -> Buffer.add_char buf '&'
   | "quot" -> Buffer.add_char buf '"'
   | "apos" -> Buffer.add_char buf '\''
-  | _ ->
+  | name ->
     if String.length name > 1 && name.[0] = '#' then begin
       let code =
         try
@@ -298,40 +321,67 @@ let parse_entity st buf =
     end
     else fail st (Printf.sprintf "unknown entity &%s;" name)
 
+(* Move the raw run [start, st.pos) into st.buf, ahead of whatever splits it. *)
+let spill st start = Buffer.add_substring st.buf st.src start (st.pos - start)
+
+(* The text gathered since [start]: a plain slice when nothing split the
+   run, else the buffered pieces plus the last run.  Leaves st.buf empty. *)
+let take_run st start =
+  if Buffer.length st.buf = 0 then String.sub st.src start (st.pos - start)
+  else begin
+    spill st start;
+    let s = Buffer.contents st.buf in
+    Buffer.clear st.buf;
+    s
+  end
+
+(* Advance over characters other than [stop] and ['&']. *)
+let skip_plain st stop =
+  let p = ref st.pos in
+  while
+    !p < st.len
+    &&
+    let c = String.unsafe_get st.src !p in
+    c <> stop && c <> '&'
+  do
+    incr p
+  done;
+  st.pos <- !p
+
+let rec attr_value st quote start =
+  skip_plain st quote;
+  if at_end st then fail st "unterminated attribute value"
+  else if String.unsafe_get st.src st.pos = quote then begin
+    let value = take_run st start in
+    st.pos <- st.pos + 1;
+    value
+  end
+  else begin
+    spill st start;
+    parse_entity st;
+    attr_value st quote st.pos
+  end
+
 let parse_attr_value st =
   let quote =
-    match peek st with
-    | Some (('"' | '\'') as q) ->
-      advance st;
-      q
-    | _ -> fail st "expected a quoted attribute value"
+    if st.pos < st.len && (st.src.[st.pos] = '"' || st.src.[st.pos] = '\'') then st.src.[st.pos]
+    else fail st "expected a quoted attribute value"
   in
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated attribute value"
-    | Some c when c = quote -> advance st
-    | Some '&' ->
-      parse_entity st buf;
-      go ()
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+  st.pos <- st.pos + 1;
+  attr_value st quote st.pos
+
+(* Index just past the first [closing] at or after [i], or -1. *)
+let rec index_after st i closing =
+  if i + String.length closing > st.len then -1
+  else if matches_at st i closing then i + String.length closing
+  else index_after st (i + 1) closing
 
 let skip_until st closing =
-  let rec go () =
-    if looking_at st closing then expect st closing
-    else if peek st = None then fail st (Printf.sprintf "unterminated construct, expected %S" closing)
-    else begin
-      advance st;
-      go ()
-    end
-  in
-  go ()
+  match index_after st st.pos closing with
+  | -1 ->
+    st.pos <- st.len;
+    fail st (Printf.sprintf "unterminated construct, expected %S" closing)
+  | after -> st.pos <- after
 
 let rec skip_misc st =
   skip_ws st;
@@ -350,102 +400,109 @@ let rec skip_misc st =
     skip_misc st
   end
 
-let rec parse_element st =
-  expect st "<";
-  let tag = parse_name st in
-  let rec attrs_loop acc =
-    skip_ws st;
-    match peek st with
-    | Some '/' ->
-      advance st;
-      expect st ">";
-      Element { tag; attrs = List.rev acc; children = [] }
-    | Some '>' ->
-      advance st;
-      let children = parse_content st tag in
-      Element { tag; attrs = List.rev acc; children }
-    | Some c when is_name_char c ->
-      let name = parse_name st in
-      skip_ws st;
-      expect st "=";
-      skip_ws st;
-      let value = parse_attr_value st in
-      if List.mem_assoc name acc then fail st (Printf.sprintf "duplicate attribute %s" name);
-      attrs_loop ((name, value) :: acc)
-    | _ -> fail st "malformed start tag"
-  in
-  attrs_loop []
+let rec has_attr name = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k name || has_attr name rest
 
-and parse_content st tag =
-  let buf = Buffer.create 16 in
-  let flush_text acc =
-    if Buffer.length buf = 0 then acc
-    else begin
-      let s = Buffer.contents buf in
-      Buffer.clear buf;
-      Text s :: acc
-    end
-  in
-  let rec go acc =
-    if looking_at st "</" then begin
-      let acc = flush_text acc in
-      expect st "</";
-      let closing = parse_name st in
-      if closing <> tag then
-        fail st (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)" closing tag);
+(* Close the text run that began at [start], if it holds anything. *)
+let flush st acc start =
+  if st.pos = start && Buffer.length st.buf = 0 then acc else Text (take_run st start) :: acc
+
+(* Called with st.pos on '<'. *)
+let rec parse_element st =
+  st.pos <- st.pos + 1;
+  let tag = parse_name st in
+  parse_attrs st tag []
+
+and parse_attrs st tag acc =
+  skip_ws st;
+  (* At the end, NUL takes the "malformed start tag" branch. *)
+  let c = if at_end st then '\000' else String.unsafe_get st.src st.pos in
+  if c = '/' then begin
+    st.pos <- st.pos + 1;
+    expect st ">";
+    Element { tag; attrs = List.rev acc; children = [] }
+  end
+  else if c = '>' then begin
+    st.pos <- st.pos + 1;
+    let children = parse_content st tag [] st.pos in
+    Element { tag; attrs = List.rev acc; children }
+  end
+  else if is_name_char c then begin
+    let name = parse_name st in
+    skip_ws st;
+    expect st "=";
+    skip_ws st;
+    let value = parse_attr_value st in
+    if has_attr name acc then fail st (Printf.sprintf "duplicate attribute %s" name);
+    parse_attrs st tag ((name, value) :: acc)
+  end
+  else fail st "malformed start tag"
+
+(* Children of [tag] up to its closing tag.  [start] is where the current
+   raw text run began: text split by comments, CDATA, processing
+   instructions and entities merges into one [Text] node, closed only when
+   an element starts or [tag] closes. *)
+and parse_content st tag acc start =
+  skip_plain st '<';
+  if at_end st then fail st (Printf.sprintf "unterminated element <%s>" tag)
+  else if String.unsafe_get st.src st.pos = '&' then begin
+    spill st start;
+    parse_entity st;
+    parse_content st tag acc st.pos
+  end
+  else
+    (* On '<': the next character tells a closing tag, a comment or CDATA,
+       and a processing instruction apart from a child element. *)
+    let next = if st.pos + 1 < st.len then String.unsafe_get st.src (st.pos + 1) else '\000' in
+    if next = '/' then begin
+      let acc = flush st acc start in
+      st.pos <- st.pos + 2;
+      let name_start = scan_name st in
+      let n = st.pos - name_start in
+      if n <> String.length tag || not (matches_at st name_start tag) then
+        fail st
+          (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)"
+             (String.sub st.src name_start n) tag);
       skip_ws st;
       expect st ">";
       List.rev acc
     end
-    else if looking_at st "<!--" then begin
+    else if next = '!' && looking_at st "<!--" then begin
+      spill st start;
       skip_until st "-->";
-      go acc
+      parse_content st tag acc st.pos
     end
-    else if looking_at st "<![CDATA[" then begin
-      expect st "<![CDATA[";
-      let start = st.pos in
-      let rec find () =
-        if looking_at st "]]>" then begin
-          Buffer.add_string buf (String.sub st.src start (st.pos - start));
-          expect st "]]>"
-        end
-        else if peek st = None then fail st "unterminated CDATA section"
-        else begin
-          advance st;
-          find ()
-        end
-      in
-      find ();
-      go acc
+    else if next = '!' && looking_at st "<![CDATA[" then begin
+      spill st start;
+      let body = st.pos + 9 in
+      (match index_after st body "]]>" with
+      | -1 ->
+        st.pos <- st.len;
+        fail st "unterminated CDATA section"
+      | after ->
+        Buffer.add_substring st.buf st.src body (after - 3 - body);
+        st.pos <- after);
+      parse_content st tag acc st.pos
     end
-    else if looking_at st "<?" then begin
+    else if next = '?' then begin
+      spill st start;
       skip_until st "?>";
-      go acc
+      parse_content st tag acc st.pos
     end
-    else
-      match peek st with
-      | None -> fail st (Printf.sprintf "unterminated element <%s>" tag)
-      | Some '<' ->
-        let acc = flush_text acc in
-        let child = parse_element st in
-        go (child :: acc)
-      | Some '&' ->
-        parse_entity st buf;
-        go acc
-      | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go acc
-  in
-  go []
+    else begin
+      let acc = flush st acc start in
+      let child = parse_element st in
+      parse_content st tag (child :: acc) st.pos
+    end
 
 let of_string src =
-  let st = { src; pos = 0; line = 1; bol = 0 } in
+  let st = { src; len = String.length src; pos = 0; buf = Buffer.create 64 } in
   skip_misc st;
-  if peek st <> Some '<' then fail st "expected a root element";
+  if at_end st || src.[st.pos] <> '<' then fail st "expected a root element";
   let root = parse_element st in
   skip_misc st;
-  if peek st <> None then fail st "trailing content after the root element";
+  if not (at_end st) then fail st "trailing content after the root element";
   root
 
 let of_string_opt src = try Some (of_string src) with Parse_error _ -> None

@@ -80,15 +80,20 @@ val canonical_string : t -> string
 
 val escape : string -> string
 (** Escape the five XML-special characters for use in attribute values
-    and character data. *)
+    and character data.  The printers escape the same way, appending a
+    string that holds none of them without copying it first. *)
 
 (** {1 Parsing} *)
 
 exception Parse_error of { line : int; column : int; message : string }
 
 val of_string : string -> t
-(** Parse a complete document (prolog and doctype are skipped).
-    @raise Parse_error on malformed input. *)
+(** Parse a complete document (prolog and doctype are skipped) in one pass
+    over the string.  Character data between two element boundaries is one
+    [Text] node, even when comments, CDATA sections, processing
+    instructions or entity references split it in the source.
+    @raise Parse_error on malformed input, with the 1-based line and column
+    of the offending position. *)
 
 val of_string_opt : string -> t option
 

@@ -482,6 +482,22 @@ let test_decode_parts_negative () =
     (Rpc.decode (Rpc.encode_batch_request 7 "s" [ ""; "" ])
     = Some (Rpc.Batch_request (7, "s", [ ""; "" ])))
 
+(* Length prefixes are decimal digits only; what int_of_string would also
+   read (hex, signs, '_') is not a frame any encoder writes. *)
+let test_decode_parts_decimal_only () =
+  check bool_ "hex length prefix in a batch frame rejected" true (Rpc.decode "B|1|s|0x3:abc" = None);
+  List.iter
+    (fun s -> check bool_ (Printf.sprintf "%S rejected" s) true (Rpc.decode_parts s = None))
+    [ "0x3:abc"; "+3:abc"; "0b11:abc"; "0o3:abc"; "0u3:abc"; "3_:abc"; "-0:" ];
+  check bool_ "leading zero still decimal" true (Rpc.decode_parts "03:abc" = Some [ "abc" ])
+
+(* Frame bytes are wire bytes, so no encoder change may move them. *)
+let test_golden_batch_frames () =
+  check string_ "B frame" "B|7|authz%7Cquery|4:<a/>0:3:x|y"
+    (Rpc.encode_batch_request 7 "authz|query" [ "<a/>"; ""; "x|y" ]);
+  check string_ "BT frame" "BT|12|svc%25|t%7C1|3:abc3:10:"
+    (Rpc.encode_traced_batch_request 12 "svc%" ~trace:"t|1" [ "abc"; "10:" ])
+
 (* --- rpc resilience -------------------------------------------------------- *)
 
 let test_rpc_retry_recovers () =
@@ -672,7 +688,11 @@ let () =
         ] );
       ( "rpc-frames",
         List.map QCheck_alcotest.to_alcotest (frame_roundtrip_tests @ frame_fuzz_tests)
-        @ [ Alcotest.test_case "malformed part encodings rejected" `Quick test_decode_parts_negative ]
+        @ [
+            Alcotest.test_case "malformed part encodings rejected" `Quick test_decode_parts_negative;
+            Alcotest.test_case "length prefixes are decimal only" `Quick test_decode_parts_decimal_only;
+            Alcotest.test_case "golden B and BT frame bytes" `Quick test_golden_batch_frames;
+          ]
       );
       ( "rpc-resilience",
         [

@@ -2,6 +2,12 @@
 
 module Xml = Dacs_xml.Xml
 module Xml_path = Dacs_xml.Xml_path
+module Context = Dacs_policy.Context
+module Value = Dacs_policy.Value
+module Decision = Dacs_policy.Decision
+module Obligation = Dacs_policy.Obligation
+module Wire = Dacs_core.Wire
+module Soap = Dacs_ws.Soap
 
 let check = Alcotest.check
 let string_ = Alcotest.string
@@ -278,9 +284,137 @@ let prop_parser_total_xmlish =
       match Xml.of_string_opt (String.concat "" frags) with
       | Some _ | None -> true)
 
+(* --- differential tests against the reference parser ------------------ *)
+
+(* What a parser makes of [src]: the exact tree (not its canonical form) or
+   the exact error position and message. *)
+let outcome parse src =
+  match parse src with
+  | t -> Ok t
+  | exception Xml.Parse_error { line; column; message } -> Error (line, column, message)
+
+let print_outcome = function
+  | Ok t -> "tree " ^ Xml.to_string t
+  | Error (line, column, message) -> Printf.sprintf "error %d:%d %s" line column message
+
+let agrees src =
+  let got = outcome Xml.of_string src and want = outcome Xml_reference.of_string src in
+  got = want
+  || QCheck.Test.fail_reportf "on %S@.scanner:   %s@.reference: %s" src (print_outcome got)
+       (print_outcome want)
+
+(* Real envelopes as the PEP/PDP exchange them: AuthzQuery requests and
+   AuthzResponse answers, printed by the same code the wire path uses. *)
+let envelopes =
+  let query ~subject ~role ~resource ~action =
+    Soap.to_string
+      {
+        Soap.headers = [];
+        body =
+          Wire.authz_query
+            (Context.make
+               ~subject:[ ("subject-id", Value.String subject); ("role", Value.String role) ]
+               ~resource:[ ("resource-id", Value.String resource) ]
+               ~action:[ ("action-id", Value.String action) ]
+               ());
+      }
+  in
+  let response ?epoch result = Soap.to_string { Soap.headers = []; body = Wire.authz_response ?epoch result } in
+  [
+    query ~subject:"alice" ~role:"doctor" ~resource:"records/42" ~action:"read";
+    query ~subject:"u17" ~role:"a & b <c>" ~resource:"x'y\"z" ~action:"write";
+    response ~epoch:3 Decision.permit;
+    response (Decision.with_obligations Decision.deny [ Obligation.audit ]);
+    response (Decision.indeterminate "overload: shed <queue full>");
+  ]
+
+(* Byte flips, truncations and insertions; inserted bytes lean towards the
+   characters and constructs the scanner dispatches on. *)
+let gen_mutated_envelope =
+  let open QCheck.Gen in
+  let insert_gen =
+    oneof
+      [
+        map (String.make 1) char;
+        oneofl
+          [ "<"; ">"; "&"; ";"; "/"; "\""; "'"; "\n"; "</"; "<!--"; "-->"; "<![CDATA["; "]]>"; "<?";
+            "?>"; "&amp;"; "&#x41;"; "&#"; "<!DOCTYPE"; "<a>"; " x=\"1\"" ];
+      ]
+  in
+  let mutation =
+    frequency
+      [
+        (3, map2 (fun pos byte s ->
+                 let n = String.length s in
+                 if n = 0 then s
+                 else
+                   let b = Bytes.of_string s in
+                   Bytes.set b (pos mod n) (Char.chr byte);
+                   Bytes.to_string b) nat (int_bound 255));
+        (1, map (fun pos s -> String.sub s 0 (pos mod (String.length s + 1))) nat);
+        (3, map2 (fun pos ins s ->
+                 let pos = pos mod (String.length s + 1) in
+                 String.sub s 0 pos ^ ins ^ String.sub s pos (String.length s - pos)) nat insert_gen);
+      ]
+  in
+  oneofl envelopes >>= fun env ->
+  list_size (0 -- 4) mutation >>= fun ops -> return (List.fold_left (fun s f -> f s) env ops)
+
+let prop_differential_generated =
+  QCheck.Test.make ~name:"scanner = reference on generated documents (compact and pretty)" ~count:500
+    gen_xml (fun doc -> agrees (Xml.to_string doc) && agrees (Xml.to_pretty_string doc))
+
+let prop_differential_envelopes =
+  QCheck.Test.make ~name:"scanner = reference on mutated SOAP envelopes" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated_envelope)
+    agrees
+
+let prop_differential_fragments =
+  let fragment =
+    QCheck.Gen.oneofl
+      [ "<"; ">"; "/>"; "</a>"; "<a"; "a=\""; "\""; "&"; "&amp;"; "&#"; "x41"; ";"; "<![CDATA["; "]]>";
+        "<!--"; "-->"; "<?"; "?>"; "x"; " "; "\n"; "<a>"; "<b/>"; "<!DOCTYPE" ]
+  in
+  QCheck.Test.make ~name:"scanner = reference on XML-ish fragments" ~count:2000
+    (QCheck.make ~print:(fun l -> String.concat "" l) QCheck.Gen.(list_size (0 -- 20) fragment))
+    (fun frags -> agrees (String.concat "" frags))
+
+(* A comment, a CDATA section and an entity inside one run of character
+   data leave a single Text node, split only by child elements. *)
+let test_split_text_merges () =
+  let src = "<a>x<!--c-->y<![CDATA[<z>]]>&amp;w<?pi?>v<b/>p&lt;<!---->q</a>" in
+  let want =
+    Xml.element "a"
+      ~children:[ Xml.text "xy<z>&wv"; Xml.element "b"; Xml.text "p<q" ]
+  in
+  check bool_ "scanner tree" true (Xml.of_string src = want);
+  check bool_ "reference tree" true (Xml_reference.of_string src = want)
+
+(* Wire bytes of the two hot envelopes: message sizes are a paper metric,
+   so no printer change may move them. *)
+let test_golden_envelopes () =
+  let ctx =
+    Context.make
+      ~subject:[ ("subject-id", Value.String "alice"); ("role", Value.String "doctor & \"lead\"") ]
+      ~resource:[ ("resource-id", Value.String "records/<42>") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ()
+  in
+  check string_ "AuthzQuery"
+    "<soap:Envelope xmlns:soap=\"http://www.w3.org/2003/05/soap-envelope\"><soap:Body><AuthzQuery><Request><Subject><Attribute AttributeId=\"role\" DataType=\"string\">doctor &amp; &quot;lead&quot;</Attribute><Attribute AttributeId=\"subject-id\" DataType=\"string\">alice</Attribute></Subject><Resource><Attribute AttributeId=\"resource-id\" DataType=\"string\">records/&lt;42&gt;</Attribute></Resource><Action><Attribute AttributeId=\"action-id\" DataType=\"string\">read</Attribute></Action><Environment/></Request></AuthzQuery></soap:Body></soap:Envelope>"
+    (Soap.to_string { Soap.headers = []; body = Wire.authz_query ctx });
+  check string_ "AuthzResponse"
+    "<soap:Envelope xmlns:soap=\"http://www.w3.org/2003/05/soap-envelope\"><soap:Body><AuthzResponse Epoch=\"7\"><Response><Result><Decision>Permit</Decision><Obligations><Obligation ObligationId=\"urn:dacs:obligation:audit\" FulfillOn=\"Permit\"/></Obligations></Result></Response></AuthzResponse></soap:Body></soap:Envelope>"
+    (Soap.to_string
+       {
+         Soap.headers = [];
+         body = Wire.authz_response ~epoch:7 (Decision.with_obligations Decision.permit [ Obligation.audit ]);
+       })
+
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_print_parse_roundtrip; prop_canonical_idempotent; prop_canonical_stable_string;
-    prop_parser_total; prop_parser_total_xmlish ]
+    prop_parser_total; prop_parser_total_xmlish; prop_differential_generated;
+    prop_differential_envelopes; prop_differential_fragments ]
 
 let suite =
   [
@@ -312,6 +446,8 @@ let suite =
     Alcotest.test_case "path text" `Quick test_path_text;
     Alcotest.test_case "path exists" `Quick test_path_exists;
     Alcotest.test_case "path errors" `Quick test_path_errors;
+    Alcotest.test_case "split text run merges" `Quick test_split_text_merges;
+    Alcotest.test_case "golden envelope bytes" `Quick test_golden_envelopes;
   ]
   @ props
 
